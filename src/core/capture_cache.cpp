@@ -1,10 +1,6 @@
 #include "capture_cache.h"
 
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "capture_io.h"
@@ -15,63 +11,10 @@ namespace eddie::core
 
 namespace
 {
-
-constexpr char kSpillMagic[8] = {'E', 'D', 'D', 'I', 'E', 'S', 'P', 'L'};
-/** Version 2 embeds the framed (CRC-checked) STS stream format. */
-constexpr std::uint32_t kSpillVersion = 2;
-
-std::uint64_t
-fnv1a64(const std::string &bytes,
-        std::uint64_t h = 1469598103934665603ULL)
-{
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/**
- * Loads and verifies one spill file. Throws IoError on truncation
- * and FormatError on corruption (the caller counts them apart).
- * Returns nullopt when the stored key differs from @p key — a hash
- * collision with another capture's spill, which is a plain miss,
- * not damage.
- */
-std::optional<std::vector<Sts>>
-loadSpill(std::istream &is, const std::string &key)
-{
-    char magic[8];
-    is.read(magic, sizeof magic);
-    std::uint32_t version = 0;
-    is.read(reinterpret_cast<char *>(&version), sizeof version);
-    std::uint64_t key_size = 0;
-    is.read(reinterpret_cast<char *>(&key_size), sizeof key_size);
-    if (!is)
-        throw IoError("spill: truncated header");
-    if (std::memcmp(magic, kSpillMagic, sizeof magic) != 0)
-        throw FormatError("spill: bad magic");
-    if (version != kSpillVersion)
-        throw FormatError("spill: unsupported version");
-    if (key_size > (std::uint64_t(1) << 20))
-        throw FormatError("spill: implausible key size");
-    std::string stored(std::size_t(key_size), '\0');
-    is.read(stored.data(), std::streamsize(stored.size()));
-    if (!is)
-        throw IoError("spill: truncated key");
-    if (stored != key)
-        return std::nullopt;
-    return loadStsStream(is);
-}
-
-} // namespace
-
-namespace
-{
 /** Namespacing prefix for spill artifacts inside a shared archive
  *  (models and checkpoints use other prefixes). The archive key is
- *  the FULL capture key, so — unlike the hash-named spill_dir files
- *  — a lookup can never collide and needs no key verification. */
+ *  the FULL capture key, so a lookup can never collide and needs no
+ *  key verification. */
 constexpr const char *kSpillPrefix = "spill/";
 } // namespace
 
@@ -83,20 +26,6 @@ CaptureCache::CaptureCache(CaptureCacheConfig config)
         arc.path = config_.spill_archive;
         archive_ = std::make_unique<store::Archive>(arc);
     }
-}
-
-std::string
-CaptureCache::spillPath(const std::string &key) const
-{
-    // Hash-named; collisions are harmless because the file carries
-    // the full key, which is verified on load.
-    const std::uint64_t a = fnv1a64(key);
-    const std::uint64_t b = fnv1a64(key, a ^ 0x9e3779b97f4a7c15ULL);
-    char name[48];
-    std::snprintf(name, sizeof name, "cap-%016llx%016llx.sts",
-                  static_cast<unsigned long long>(a),
-                  static_cast<unsigned long long>(b));
-    return config_.spill_dir + "/" + name;
 }
 
 std::vector<Sts>
@@ -156,44 +85,7 @@ CaptureCache::getOrComputeShared(
             break;
         }
         case store::GetStatus::Missing:
-            break; // fall through to the legacy spill directory
-        }
-    }
-
-    // Legacy disk tier: a spill file is trusted only if its stored
-    // key matches byte for byte and the embedded stream passes its
-    // CRC. A damaged file can cost a recompute but never poison the
-    // cache: it is counted (corrupt vs short read) and the lookup
-    // proceeds as a miss.
-    if (!config_.spill_dir.empty()) {
-        std::ifstream is(spillPath(key), std::ios::binary);
-        if (is) {
-            bool short_read = false;
-            bool corrupt = false;
-            try {
-                auto stream = loadSpill(is, key);
-                if (stream.has_value()) {
-                    auto value =
-                        std::make_shared<const std::vector<Sts>>(
-                            std::move(*stream));
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++stats_.disk_hits;
-                    if (index_.find(key) == index_.end())
-                        insertLocked(key, value);
-                    return value;
-                }
-            } catch (const IoError &) {
-                short_read = true;
-            } catch (const std::exception &) {
-                corrupt = true;
-            }
-            if (short_read || corrupt) {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (short_read)
-                    ++stats_.spill_short_read;
-                else
-                    ++stats_.spill_corrupt;
-            }
+            break;
         }
     }
 
@@ -222,50 +114,15 @@ CaptureCache::insertLocked(
         const Entry &victim = lru_.back();
         if (archive_) {
             // Archive tier: stage the victim now, commit the whole
-            // eviction wave in one group commit below. Like the
-            // legacy path, a failure is a counted soft loss — the
-            // entry is still evicted, a later lookup recomputes.
+            // eviction wave in one group commit below. A failure is a
+            // counted soft loss — the entry is still evicted, a later
+            // lookup recomputes.
             try {
                 archive_->stagePut(kSpillPrefix + victim.first,
                                    encodeStsPayload(*victim.second));
                 ++staged;
             } catch (const std::exception &) {
                 ++stats_.spill_write_failed;
-            }
-        } else if (!config_.spill_dir.empty()) {
-            // A failed spill (ENOSPC, short write, open failure) is a
-            // counted soft failure: the entry is evicted without its
-            // spill and the partial file removed so a later lookup
-            // recomputes instead of tripping over a truncated
-            // artifact. The caller never sees an IoError from here —
-            // spilling is an optimization, not a durability promise.
-            const std::string path = spillPath(victim.first);
-            std::ofstream os(path, std::ios::binary);
-            bool ok = bool(os);
-            if (ok) {
-                os.write(kSpillMagic, sizeof kSpillMagic);
-                os.write(reinterpret_cast<const char *>(
-                             &kSpillVersion),
-                         sizeof kSpillVersion);
-                const std::uint64_t key_size = victim.first.size();
-                os.write(reinterpret_cast<const char *>(&key_size),
-                         sizeof key_size);
-                os.write(victim.first.data(),
-                         std::streamsize(victim.first.size()));
-                try {
-                    saveStsStream(*victim.second, os);
-                } catch (const std::exception &) {
-                    ok = false;
-                }
-                os.flush();
-                ok = ok && bool(os);
-                os.close();
-            }
-            if (ok) {
-                ++stats_.spills;
-            } else {
-                ++stats_.spill_write_failed;
-                std::remove(path.c_str());
             }
         }
         ++stats_.evictions;

@@ -17,9 +17,9 @@
  * Keys are the full serialized capture identity (see
  * captureCacheKey() in pipeline.h), so two captures collide only if
  * every input is identical — there is no hash-collision exposure in
- * the memory tier. Evicted entries can optionally spill to disk in
- * the capture_io STS format; spill files carry the key and are
- * verified on load.
+ * the memory tier. Evicted entries can optionally spill into an
+ * EDDIEARC archive, keyed by the full capture key and CRC-checked
+ * per sector on load.
  */
 
 #ifndef EDDIE_CORE_CAPTURE_CACHE_H
@@ -49,22 +49,12 @@ struct CaptureCacheConfig
      *  entry is a few hundred STSs (tens of KB). */
     std::size_t capacity = 256;
     /**
-     * Directory for the on-disk spill tier; empty disables it. When
-     * set, LRU evictions are written there and misses consult the
-     * directory before falling back to the simulator. The directory
-     * must exist. (Legacy layout: one hash-named file per key.)
-     */
-    std::string spill_dir;
-    /**
-     * EDDIEARC container for the spill tier; empty disables it. One
-     * archive file replaces the file-per-key spill_dir layout:
-     * evictions become group-committed puts, lookups become keyed
-     * gets against the mmap (a corrupt segment is a counted miss,
-     * like a corrupt spill file). Takes precedence over spill_dir
-     * for writes; a populated legacy spill_dir is still consulted
-     * on an archive miss, so existing spills stay readable through
-     * the migration. The archive is created on first use; an
-     * unopenable path throws IoError from the constructor.
+     * EDDIEARC container for the on-disk spill tier; empty disables
+     * it. LRU evictions become group-committed puts and misses become
+     * keyed gets against the mmap before falling back to the
+     * simulator (a corrupt segment is a counted miss). The archive is
+     * created on first use; an unopenable path throws IoError from
+     * the constructor.
      */
     std::string spill_archive;
 };
@@ -107,7 +97,7 @@ class CaptureCache
     /** Snapshot of the hit/miss counters (see core/metrics.h). */
     CaptureCacheStats stats() const;
 
-    /** Drops all in-memory entries (spill files are kept). */
+    /** Drops all in-memory entries (the spill archive is kept). */
     void clear();
 
   private:
@@ -117,9 +107,6 @@ class CaptureCache
     /** Inserts under the lock; evicts (and maybe spills) LRU tails. */
     void insertLocked(const std::string &key,
                       std::shared_ptr<const std::vector<Sts>> value);
-
-    /** Spill-file path of @p key (hash-named; key verified on load). */
-    std::string spillPath(const std::string &key) const;
 
     CaptureCacheConfig config_;
     /** Spill container when config_.spill_archive is set. The archive

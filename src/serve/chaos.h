@@ -99,7 +99,7 @@ struct ChaosConfig
     /** Monitor steps between delta cuts. */
     std::size_t checkpoint_interval = 8;
     std::size_t full_snapshot_every = 4;
-    /** Fleet runtime under test: 0 = legacy thread pair per session;
+    /** Fleet runtime under test: 0 = thread pair per session;
      *  >0 = FleetScheduler with that many worker threads (every fleet
      *  phase runs through it). The invariants checked are identical —
      *  that is the point: one harness proves both runtimes produce

@@ -5,12 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <span>
 #include <sstream>
 #include <utility>
 
-#include "common/crc32.h"
 #include "core/capture_io.h"
 #include "core/errors.h"
 #include "store/span_stream.h"
@@ -24,7 +22,6 @@ namespace
 constexpr char kMagic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
 constexpr char kDeltaMagic[8] = {'E', 'D', 'D', 'I',
                                  'E', 'D', 'L', 'T'};
-constexpr std::uint32_t kVersion = 1;      ///< single-shard full state
 constexpr std::uint32_t kGroupVersion = 2; ///< epoch + all shards
 constexpr std::uint32_t kDeltaVersion = 1; ///< delta-log segment
 /** Element-count sanity cap; a corrupt length field must fail as
@@ -210,16 +207,6 @@ decodeFrom(Cursor &c)
     return ckpt;
 }
 
-CheckpointData
-decode(const std::string &payload)
-{
-    Cursor c(payload);
-    CheckpointData ckpt = decodeFrom(c);
-    if (!c.exhausted())
-        throw core::FormatError("checkpoint: trailing payload bytes");
-    return ckpt;
-}
-
 void
 encodeDeltaInto(std::string &out, const core::MonitorStateDelta &d)
 {
@@ -340,60 +327,39 @@ decodeDeltaFrom(Cursor &c)
     return d;
 }
 
-/** Raw little helper for the version-range frame reader below. */
-template <typename T>
-T
-getRaw(std::istream &is, const char *what)
-{
-    T value;
-    is.read(reinterpret_cast<char *>(&value), sizeof value);
-    if (!is)
-        throw core::IoError(std::string(what) + ": truncated input");
-    return value;
-}
+} // namespace
 
-/**
- * Reads one "EDDIECKP" frame accepting BOTH layout versions (the
- * shared core::readFramed insists on exactly one). Returns the stored
- * version; the caller dispatches v1 (single shard) vs v2 (group).
- */
-std::uint32_t
-readCheckpointFrame(std::istream &is, std::string &payload)
-{
-    const char *what = "checkpoint";
-    char stored[8];
-    is.read(stored, sizeof stored);
-    if (!is)
-        throw core::IoError(std::string(what) + ": truncated input");
-    if (std::memcmp(stored, kMagic, sizeof stored) != 0)
-        throw core::FormatError(std::string(what) + ": bad magic");
-    const auto version = getRaw<std::uint32_t>(is, what);
-    if (version < kVersion || version > kGroupVersion)
-        throw core::FormatError(std::string(what) +
-                                ": unsupported version");
-    const auto size = getRaw<std::uint64_t>(is, what);
-    if (size > (std::uint64_t(1) << 40))
-        throw core::FormatError(std::string(what) +
-                                ": implausible size");
-    payload.resize(std::size_t(size));
-    is.read(payload.data(), std::streamsize(payload.size()));
-    if (!is)
-        throw core::IoError(std::string(what) +
-                            ": truncated payload (wanted " +
-                            std::to_string(size) + " bytes, got " +
-                            std::to_string(is.gcount()) + ")");
-    const auto stored_crc = getRaw<std::uint32_t>(is, what);
-    if (stored_crc != common::crc32(payload))
-        throw core::FormatError(std::string(what) +
-                                ": checksum mismatch");
-    return version;
-}
-
-/** Atomic tmp+flush+rename writer shared by the v1 and v2 file
- *  savers. */
 void
-writeFileAtomic(const std::string &path,
-                const std::function<void(std::ostream &)> &emit)
+saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os)
+{
+    std::string payload;
+    put<std::uint64_t>(payload, group.epoch);
+    put<std::uint64_t>(payload, group.shards.size());
+    for (const auto &shard : group.shards)
+        encodeInto(payload, shard);
+    core::writeFramed(os, kMagic, kGroupVersion, payload);
+}
+
+GroupCheckpoint
+loadGroupCheckpoint(std::istream &is)
+{
+    std::string payload;
+    core::readFramed(is, kMagic, kGroupVersion, 1, "checkpoint", payload);
+    GroupCheckpoint group;
+    Cursor c(payload);
+    group.epoch = c.get<std::uint64_t>();
+    const std::uint64_t n = c.count("shard");
+    group.shards.reserve(std::size_t(n));
+    for (std::uint64_t i = 0; i < n; ++i)
+        group.shards.push_back(decodeFrom(c));
+    if (!c.exhausted())
+        throw core::FormatError("checkpoint: trailing payload bytes");
+    return group;
+}
+
+void
+saveGroupCheckpointFile(const GroupCheckpoint &group,
+                        const std::string &path)
 {
     const std::string tmp = path + ".tmp";
     {
@@ -404,7 +370,7 @@ writeFileAtomic(const std::string &path,
                                      tmp);
         }
         try {
-            emit(os);
+            saveGroupCheckpoint(group, os);
         } catch (...) {
             os.close();
             std::remove(tmp.c_str());
@@ -425,83 +391,6 @@ writeFileAtomic(const std::string &path,
         std::remove(tmp.c_str());
         throw err;
     }
-}
-
-} // namespace
-
-void
-saveCheckpoint(const CheckpointData &ckpt, std::ostream &os)
-{
-    std::string payload;
-    encodeInto(payload, ckpt);
-    core::writeFramed(os, kMagic, kVersion, payload);
-}
-
-CheckpointData
-loadCheckpoint(std::istream &is)
-{
-    std::string payload;
-    core::readFramed(is, kMagic, kVersion, 1, "checkpoint", payload);
-    return decode(payload);
-}
-
-void
-saveCheckpointFile(const CheckpointData &ckpt, const std::string &path)
-{
-    writeFileAtomic(path,
-                    [&](std::ostream &os) { saveCheckpoint(ckpt, os); });
-}
-
-CheckpointData
-loadCheckpointFile(const std::string &path)
-{
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw core::ioErrorErrno("checkpoint: open", path);
-    return loadCheckpoint(is);
-}
-
-void
-saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os)
-{
-    std::string payload;
-    put<std::uint64_t>(payload, group.epoch);
-    put<std::uint64_t>(payload, group.shards.size());
-    for (const auto &shard : group.shards)
-        encodeInto(payload, shard);
-    core::writeFramed(os, kMagic, kGroupVersion, payload);
-}
-
-GroupCheckpoint
-loadGroupCheckpoint(std::istream &is)
-{
-    std::string payload;
-    const std::uint32_t version = readCheckpointFrame(is, payload);
-    GroupCheckpoint group;
-    if (version == kVersion) {
-        // Legacy single-shard file: one chain-less shard, epoch 0.
-        group.shards.push_back(decode(payload));
-        return group;
-    }
-    Cursor c(payload);
-    group.epoch = c.get<std::uint64_t>();
-    const std::uint64_t n = c.count("shard");
-    group.shards.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        group.shards.push_back(decodeFrom(c));
-    if (!c.exhausted())
-        throw core::FormatError("checkpoint: trailing payload bytes");
-    return group;
-}
-
-void
-saveGroupCheckpointFile(const GroupCheckpoint &group,
-                        const std::string &path)
-{
-    writeFileAtomic(path, [&](std::ostream &os) {
-        saveGroupCheckpoint(group, os);
-    });
 }
 
 GroupCheckpoint
@@ -556,15 +445,6 @@ readDeltaSegment(std::istream &is, DeltaSegment &seg)
     if (!c.exhausted())
         throw core::FormatError("delta log: trailing payload bytes");
     return true;
-}
-
-std::string
-shardCheckpointPath(const std::string &base, std::size_t shard,
-                    std::size_t shards)
-{
-    if (base.empty() || shards <= 1)
-        return base;
-    return base + "." + std::to_string(shard);
 }
 
 CheckpointStore::CheckpointStore(const CheckpointStoreConfig &cfg)
@@ -629,13 +509,11 @@ CheckpointStore::applySegmentLocked(const DeltaSegment &seg)
     return true;
 }
 
-bool
+void
 CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
 {
-    // A missing or damaged snapshot segment falls back to the legacy
-    // file layout — that is the in-place migration path: first run
-    // with use_archive reads the old files, first flush writes the
-    // archive.
+    // A missing snapshot segment is a cold start; a damaged one is
+    // counted, then also a cold start.
     std::span<const char> snap;
     const store::GetStatus got = arc_->get(snapKeyStr(), snap);
     if (got != store::GetStatus::Ok) {
@@ -643,7 +521,7 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
         // the fleet breaker keys off this counter.
         if (got == store::GetStatus::Corrupt)
             ++stats_.snapshot_decode_failures;
-        return false;
+        return;
     }
     GroupCheckpoint group;
     try {
@@ -651,7 +529,7 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
         group = loadGroupCheckpoint(is);
     } catch (const core::Error &) {
         ++stats_.snapshot_decode_failures;
-        return false;
+        return;
     }
     for (std::size_t i = 0;
          i < group.shards.size() && i < mirrors_.size(); ++i) {
@@ -698,7 +576,6 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
             break;
         }
     }
-    return true;
 }
 
 std::vector<bool>
@@ -711,37 +588,22 @@ CheckpointStore::recover()
     if (cfg_.path.empty() && arc_ == nullptr)
         return recovered;
 
-    if (arc_ && recoverFromArchiveLocked(recovered))
+    if (arc_) {
+        recoverFromArchiveLocked(recovered);
         return recovered;
-    if (cfg_.path.empty())
-        return recovered;
-
-    GroupCheckpoint group;
-    bool have_group = false;
-    try {
-        group = loadGroupCheckpointFile(cfg_.path);
-        have_group = true;
-    } catch (const core::FormatError &) {
-        // The file exists but its bytes are rotten: counted so the
-        // caller can tell corruption from a cold start.
-        ++stats_.snapshot_decode_failures;
-    } catch (const core::Error &) {
-        // Missing or unreadable snapshot: fall through to the legacy
-        // per-shard layout, then to a cold start.
     }
 
-    if (!have_group) {
-        if (mirrors_.size() > 1) {
-            for (std::size_t i = 0; i < mirrors_.size(); ++i) {
-                try {
-                    mirrors_[i] = loadCheckpointFile(shardCheckpointPath(
-                        cfg_.path, i, mirrors_.size()));
-                    recovered[i] = true;
-                } catch (const core::Error &) {
-                }
-            }
-        }
+    GroupCheckpoint group;
+    try {
+        group = loadGroupCheckpointFile(cfg_.path);
+    } catch (const core::FormatError &) {
+        // The file exists but its bytes are rotten (or in a layout
+        // this build no longer reads): counted so the caller can tell
+        // corruption from a cold start.
+        ++stats_.snapshot_decode_failures;
         return recovered;
+    } catch (const core::Error &) {
+        return recovered; // missing or unreadable: cold start
     }
 
     for (std::size_t i = 0;

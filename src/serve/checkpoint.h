@@ -2,22 +2,27 @@
  * @file
  * Crash-consistent checkpoints of running monitors (DESIGN.md §7).
  *
- * Format v1 (magic "EDDIECKP", version 1): one shard's source
- * position plus its complete core::MonitorState, in the shared
- * CRC32+length framing (core/capture_io.h). Still written by
- * saveCheckpoint() and still loadable — resume accepts v1 files.
+ * One layout family, in the shared CRC32+length framing
+ * (core/capture_io.h), incremental and group-committed:
  *
- * Format v2 adds incremental, group-committed checkpoints:
- *
- *  - A *group snapshot* (same magic, version 2) holds an epoch number
- *    and every shard's full state in one file, written atomically
- *    (tmp + flush + rename).
+ *  - A *group snapshot* (magic "EDDIECKP", version 2) holds an epoch
+ *    number and every shard's source position plus complete
+ *    core::MonitorState in one file, written atomically (tmp + flush
+ *    + rename). A one-shard group is also what eddie_monitor
+ *    --checkpoint writes.
  *  - A *delta log* (`<path>.dlt`, magic "EDDIEDLT") is an append-only
  *    sequence of individually-framed segments; each segment is one
  *    group commit: the epoch it chains onto plus every shard's
  *    core::MonitorStateDelta since its previous cut. All shards'
  *    deltas land in one buffered write + one flush instead of N
  *    rewrite-the-world file replacements.
+ *
+ * The same framed images can instead live as keyed segments of one
+ * EDDIEARC container (CheckpointStoreConfig::use_archive).
+ *
+ * The single-shard version-1 frame and the per-shard "path.i" files
+ * of earlier builds are not read: such a file is a counted decode
+ * failure or, absent a snapshot, a cold start.
  *
  * CheckpointStore owns both files plus an in-memory full-state mirror
  * per shard (what the supervisor restarts crashed workers from).
@@ -57,24 +62,6 @@ struct CheckpointData
     core::MonitorState monitor;
 };
 
-/** Writes one framed checkpoint (magic "EDDIECKP", version 1). */
-void saveCheckpoint(const CheckpointData &ckpt, std::ostream &os);
-
-/** Reads a checkpoint written by saveCheckpoint(). Throws IoError on
- *  truncation, FormatError on corruption. */
-CheckpointData loadCheckpoint(std::istream &is);
-
-/**
- * Atomic file write: serializes to @p path + ".tmp", then renames
- * over @p path. On any failure the tmp file is removed and IoError is
- * thrown; the previous checkpoint at @p path is untouched.
- */
-void saveCheckpointFile(const CheckpointData &ckpt,
-                        const std::string &path);
-
-/** Loads @p path; throws IoError when the file cannot be opened. */
-CheckpointData loadCheckpointFile(const std::string &path);
-
 /** All shards' full states at one cut, plus the epoch that names the
  *  delta chain anchored on it. */
 struct GroupCheckpoint
@@ -86,13 +73,16 @@ struct GroupCheckpoint
 /** Writes one framed group snapshot (magic "EDDIECKP", version 2). */
 void saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os);
 
-/** Reads a v2 group snapshot — or a v1 single-shard checkpoint,
- *  returned as a one-shard group with epoch 0 (legacy files carry no
- *  delta chain). Throws IoError/FormatError like loadCheckpoint(). */
+/** Reads a group snapshot. Throws IoError on truncation, FormatError
+ *  on corruption or any other layout version. */
 GroupCheckpoint loadGroupCheckpoint(std::istream &is);
 
-/** Atomic file variants (tmp + flush + rename, like
- *  saveCheckpointFile). */
+/**
+ * Atomic file write: serializes to @p path + ".tmp", then renames
+ * over @p path. On any failure the tmp file is removed and IoError is
+ * thrown; the previous snapshot at @p path is untouched. The loader
+ * throws IoError when the file cannot be opened.
+ */
 void saveGroupCheckpointFile(const GroupCheckpoint &group,
                              const std::string &path);
 GroupCheckpoint loadGroupCheckpointFile(const std::string &path);
@@ -124,11 +114,6 @@ std::size_t appendDeltaSegment(std::ostream &os,
  *  IoError on a torn tail, FormatError on corruption. */
 bool readDeltaSegment(std::istream &is, DeltaSegment &seg);
 
-/** Per-shard checkpoint path of the legacy (pre-v2) layout: one v1
- *  file per shard, "path.i" when sharded. Recovery still reads it. */
-std::string shardCheckpointPath(const std::string &base,
-                                std::size_t shard, std::size_t shards);
-
 /** CheckpointStore knobs. */
 struct CheckpointStoreConfig
 {
@@ -149,10 +134,9 @@ struct CheckpointStoreConfig
      * bit-identically. A snapshot rewrite stages the new image plus
      * the removal of every delta key in one atomic group commit —
      * stale-epoch segments structurally cannot survive it. Recovery
-     * prefers the archive; when it is absent or empty the legacy
-     * files are read (so flipping this flag on migrates in place)
-     * and the first flush writes the archive. An unopenable archive
-     * path throws IoError from the constructor.
+     * reads only the archive: a file pair left at `path` is not
+     * migrated, so flipping this flag on starts cold. An unopenable
+     * archive path throws IoError from the constructor.
      */
     bool use_archive = false;
     /**
@@ -163,17 +147,17 @@ struct CheckpointStoreConfig
      * one shared container, and a snapshot rewrite removes only the
      * delta keys under its own prefix, so one tenant's checkpoint rot
      * or rewrite can never disturb a neighbor's chain. Empty (the
-     * default) is the legacy single-tenant layout, bit-compatible
-     * with PR-7 archives. Ignored in file mode.
+     * default) is the layout of a store with its own container
+     * (Supervisor::run). Ignored in file mode.
      */
     std::string key_prefix;
     /**
      * Non-owned shared container to keep this store's keys in,
      * instead of opening a private one at path + ".arc". Implies
-     * archive mode; `path` then only names the legacy-migration
-     * fallback files. The caller guarantees the archive outlives the
-     * store and that flush() across stores sharing one archive is
-     * serialized (the supervisor's watchdog is the only flusher).
+     * archive mode; `path` is then unused. The caller guarantees the
+     * archive outlives the store and that flush() across stores
+     * sharing one archive is serialized (the supervisor's watchdog
+     * is the only flusher).
      */
     store::Archive *shared_archive = nullptr;
 };
@@ -187,7 +171,7 @@ struct CheckpointStoreStats
     std::uint64_t delta_fallbacks = 0;
     std::uint64_t delta_segments_dropped = 0;
     /** Swallowed I/O failures (durability degraded, serving
-     *  continues — same policy as the v1 per-shard writer). */
+     *  continues). */
     std::uint64_t write_failures = 0;
     /**
      * A snapshot that *exists* failed to decode during recover() —
@@ -215,8 +199,8 @@ class CheckpointStore
     explicit CheckpointStore(const CheckpointStoreConfig &cfg);
 
     /**
-     * Best-effort recovery from disk: loads the group snapshot (v2,
-     * or a legacy v1 file, or legacy per-shard "path.i" v1 files) and
+     * Best-effort recovery from disk: loads the group snapshot (from
+     * the archive in archive mode, else from the file at `path`) and
      * replays matching-epoch delta segments onto it. A torn, corrupt,
      * or chain-broken segment stops the replay at the last good
      * state (fallbacks counted). Returns per-shard recovery flags;
@@ -261,7 +245,7 @@ class CheckpointStore
     std::string deltaKeyStr(std::uint64_t n) const;
     void foldAllLocked();
     /** Archive-mode halves of recover() and the snapshot rewrite. */
-    bool recoverFromArchiveLocked(std::vector<bool> &recovered);
+    void recoverFromArchiveLocked(std::vector<bool> &recovered);
     bool writeSnapshotArchiveLocked(const GroupCheckpoint &group);
     /** Applies one decoded delta segment transactionally onto the
      *  mirrors; false = damaged (bad shard or broken chain). */

@@ -160,7 +160,10 @@ FleetScheduler::~FleetScheduler()
 {
     // run() joins everything; a scheduler destroyed without run()
     // has no threads.
-    done_.store(true);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        done_.store(true);
+    }
     work_cv_.notify_all();
     for (std::thread &t : workers_)
         if (t.joinable())
@@ -316,16 +319,8 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
     s.feed_eof = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (s.queue) {
-            const QueueStats q = s.queue->stats();
-            s.queue_acc.pushed += q.pushed;
-            s.queue_acc.popped += q.popped;
-            s.queue_acc.dropped_oldest += q.dropped_oldest;
-            s.queue_acc.blocked_pushes += q.blocked_pushes;
-            s.queue_acc.spurious_wakeups += q.spurious_wakeups;
-            s.queue_acc.max_depth =
-                std::max(s.queue_acc.max_depth, q.max_depth);
-        }
+        if (s.queue)
+            s.queue_acc += s.queue->stats();
         s.queue = std::make_unique<StsQueue>(s.spec.queue);
         s.cancel.store(false);
         s.crashed.store(false);
@@ -765,7 +760,13 @@ FleetScheduler::run()
     for (CheckpointStore *store : stores)
         store->flush();
 
-    done_.store(true);
+    {
+        // Under mu_: a worker checks done_ and parks on work_cv_ under
+        // this lock, so the notify cannot fall between its check and
+        // its wait and leave it parked forever (join would hang).
+        std::lock_guard<std::mutex> lock(mu_);
+        done_.store(true);
+    }
     work_cv_.notify_all();
     for (std::thread &t : workers_)
         t.join();
@@ -822,15 +823,8 @@ FleetScheduler::serveStats() const
     for (const auto &sp : sessions_) {
         const Session &s = *sp;
         QueueStats q = s.queue_acc;
-        if (s.queue) {
-            const QueueStats live = s.queue->stats();
-            q.pushed += live.pushed;
-            q.popped += live.popped;
-            q.dropped_oldest += live.dropped_oldest;
-            q.blocked_pushes += live.blocked_pushes;
-            q.spurious_wakeups += live.spurious_wakeups;
-            q.max_depth = std::max(q.max_depth, live.max_depth);
-        }
+        if (s.queue)
+            q += s.queue->stats();
         st.delivered += q.pushed;
         st.dropped_oldest += q.dropped_oldest;
         st.blocked_pushes += q.blocked_pushes;

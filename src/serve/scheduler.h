@@ -74,8 +74,9 @@
 namespace eddie::serve
 {
 
-/** Scheduler tuning. workers == 0 selects the legacy thread-pair
- *  runtime (one feeder+worker pair per session). */
+/** Scheduler tuning. workers == 0 selects the thread-pair runtime
+ *  (one feeder+worker pair per session), which eddie_serve uses:
+ *  its sources may block in next(). */
 struct SchedulerConfig
 {
     /** Worker threads the fleet multiplexes over (0 = disabled). */

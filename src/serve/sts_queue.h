@@ -19,6 +19,7 @@
 #ifndef EDDIE_SERVE_STS_QUEUE_H
 #define EDDIE_SERVE_STS_QUEUE_H
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -78,6 +79,23 @@ struct QueueStats
     std::uint64_t queued_bytes = 0;
     /** High-water mark of queued_bytes. */
     std::uint64_t max_queued_bytes = 0;
+
+    /** Folds in the counters of @p later, the queue that replaced
+     *  this one on a restart: counts add, high-water marks take the
+     *  max, and the queued_bytes gauge becomes @p later's. */
+    QueueStats &operator+=(const QueueStats &later)
+    {
+        pushed += later.pushed;
+        popped += later.popped;
+        dropped_oldest += later.dropped_oldest;
+        blocked_pushes += later.blocked_pushes;
+        max_depth = std::max(max_depth, later.max_depth);
+        spurious_wakeups += later.spurious_wakeups;
+        queued_bytes = later.queued_bytes;
+        max_queued_bytes =
+            std::max(max_queued_bytes, later.max_queued_bytes);
+        return *this;
+    }
 };
 
 /** Single-producer / single-consumer bounded queue. */

@@ -134,6 +134,8 @@ RateDecision
 Tenant::admitWindow(double now_ms, double &wait_ms)
 {
     wait_ms = 0.0;
+    if (spec_.quota.sts_per_s <= 0.0)
+        return RateDecision::Admit; // unlimited: no bucket to lock
     std::lock_guard<std::mutex> lock(bucket_mu_);
     if (bucket_.tryTake(now_ms))
         return RateDecision::Admit;

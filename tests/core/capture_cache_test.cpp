@@ -167,14 +167,13 @@ TEST(CaptureCacheTest, KeySeparatesEveryCaptureInput)
 
 TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)
 {
-    const auto dir =
-        std::filesystem::path(::testing::TempDir()) /
-        "eddie_capture_cache_test";
-    std::filesystem::create_directories(dir);
+    const auto arc = std::filesystem::path(::testing::TempDir()) /
+                     "eddie_capture_cache_test.arc";
+    std::filesystem::remove(arc);
 
     CaptureCacheConfig cc;
     cc.capacity = 1;
-    cc.spill_dir = dir.string();
+    cc.spill_archive = arc.string();
 
     PipelineConfig cfg;
     cfg.capture_cache = std::make_shared<CaptureCache>(cc);
@@ -193,7 +192,8 @@ TEST(CaptureCacheTest, EvictionSpillsToDiskAndReloads)
     EXPECT_EQ(stats.entries, 1u);
     EXPECT_FALSE(core::describe(stats).empty());
 
-    std::filesystem::remove_all(dir);
+    cfg.capture_cache.reset();
+    std::filesystem::remove(arc);
 }
 
 TEST(CaptureCacheTest, StsStreamRoundTripsThroughCaptureIo)

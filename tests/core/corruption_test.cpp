@@ -229,13 +229,13 @@ TEST(CorruptionTest, StsStreamCorruptionIsTypedError)
 
 TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
 {
-    const auto dir = std::filesystem::path(::testing::TempDir()) /
-                     "eddie_corruption_test";
-    std::filesystem::create_directories(dir);
+    const auto arc = std::filesystem::path(::testing::TempDir()) /
+                     "eddie_corruption_test.arc";
+    std::filesystem::remove(arc);
 
     CaptureCacheConfig cc;
     cc.capacity = 1;
-    cc.spill_dir = dir.string();
+    cc.spill_archive = arc.string();
 
     std::mt19937_64 rng(105);
     const auto stream_a = sampleStream(rng);
@@ -244,33 +244,31 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         CaptureCache cache(cc);
         cache.getOrCompute("key-a", [&] { return stream_a; });
         cache.getOrCompute("key-b", [&] { return stream_b; });
-        // key-a evicted and spilled.
+        // key-a evicted and spilled: the archive's only segment.
     }
-    std::filesystem::path spill;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        // capacity 1: key-a's spill is the one not holding key-b.
-        std::ifstream is(e.path(), std::ios::binary);
+    std::string good;
+    {
+        std::ifstream is(arc, std::ios::binary);
         std::ostringstream slurp;
         slurp << is.rdbuf();
-        if (slurp.str().find("key-a") != std::string::npos)
-            spill = e.path();
+        good = slurp.str();
     }
-    ASSERT_FALSE(spill.empty());
+    // Damage goes past the superblock (sector 0, 512 bytes): a bad
+    // superblock is an unopenable archive, not a spill miss.
+    constexpr std::size_t kSuper = 512;
+    ASSERT_GT(good.size(), 2 * kSuper);
+    auto write_spill = [&](const std::string &bytes) {
+        std::ofstream osf(arc, std::ios::binary | std::ios::trunc);
+        osf.write(bytes.data(), std::streamsize(bytes.size()));
+    };
 
     std::mt19937_64 corrupt_rng(106);
     for (int trial = 0; trial < 30; ++trial) {
-        std::ifstream is(spill, std::ios::binary);
-        std::ostringstream slurp;
-        slurp << is.rdbuf();
-        const std::string good = slurp.str();
-        const std::string bad = trial % 2 == 0 ?
-            flipBit(good, corrupt_rng) :
-            truncate(good, corrupt_rng);
-        {
-            std::ofstream osf(spill,
-                              std::ios::binary | std::ios::trunc);
-            osf.write(bad.data(), std::streamsize(bad.size()));
-        }
+        const std::string tail = good.substr(kSuper);
+        const std::string bad = good.substr(0, kSuper) +
+            (trial % 2 == 0 ? flipBit(tail, corrupt_rng)
+                            : truncate(tail, corrupt_rng));
+        write_spill(bad);
 
         CaptureCache cache(cc);
         std::size_t computes = 0;
@@ -279,11 +277,11 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
             return stream_a;
         });
         const auto stats = cache.stats();
-        // Three legitimate outcomes, none of which is an exception:
-        // the damage was caught and counted (recompute), the flip
-        // hit the stored key so the file reads as another capture's
-        // spill (plain miss), or nothing guarded was hit and the
-        // stream decoded intact (disk hit).
+        // Two legitimate outcomes, neither of which is an exception:
+        // the damage was caught (a counted corrupt payload, or a
+        // dropped segment that reads as a plain miss) and the stream
+        // recomputed, or nothing guarded was hit and the stream
+        // decoded intact (disk hit).
         if (computes == 1) {
             EXPECT_EQ(stats.misses, 1u);
             EXPECT_LE(stats.spill_corrupt + stats.spill_short_read,
@@ -296,27 +294,16 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         EXPECT_EQ(got.size(), stream_a.size());
         EXPECT_EQ(got.empty() ? 0.0 : got[0].window_energy,
                   stream_a[0].window_energy);
-
-        // Restore the pristine spill for the next trial.
-        std::ofstream osf(spill, std::ios::binary | std::ios::trunc);
-        osf.write(good.data(), std::streamsize(good.size()));
     }
 
-    // Targeted damage with deterministic counters: the last byte is
-    // inside the embedded stream's CRC footer, so flipping it is a
-    // detected corruption; cutting the file in half is a short read.
-    std::ifstream is(spill, std::ios::binary);
-    std::ostringstream slurp;
-    slurp << is.rdbuf();
-    const std::string good = slurp.str();
-
-    auto write_spill = [&](const std::string &bytes) {
-        std::ofstream osf(spill, std::ios::binary | std::ios::trunc);
-        osf.write(bytes.data(), std::streamsize(bytes.size()));
-    };
+    // Targeted damage with deterministic counters: the last sector
+    // starts with payload bytes, so flipping its first byte fails
+    // that sector's CRC, a counted corruption; cutting the payload
+    // in half drops the torn segment, a plain miss.
     {
         std::string bad = good;
-        bad.back() = char(bad.back() ^ 0x40);
+        bad[good.size() - kSuper] =
+            char(bad[good.size() - kSuper] ^ 0x40);
         write_spill(bad);
         CaptureCache cache(cc);
         (void)cache.getOrCompute("key-a", [&] { return stream_a; });
@@ -324,14 +311,15 @@ TEST(CorruptionTest, CorruptSpillIsCountedMissNotError)
         EXPECT_EQ(cache.stats().misses, 1u);
     }
     {
-        write_spill(good.substr(0, good.size() / 2));
+        write_spill(good.substr(0, good.size() - kSuper / 2));
         CaptureCache cache(cc);
         (void)cache.getOrCompute("key-a", [&] { return stream_a; });
-        EXPECT_EQ(cache.stats().spill_short_read, 1u);
+        EXPECT_EQ(cache.stats().spill_corrupt, 0u);
         EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(cache.stats().disk_hits, 0u);
     }
 
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove(arc);
 }
 
 } // namespace

@@ -74,12 +74,32 @@ randomCheckpoint(std::mt19937_64 &rng)
     return ckpt;
 }
 
+/** One checkpoint as a one-shard group snapshot (the layout
+ *  eddie_monitor --checkpoint writes). */
+GroupCheckpoint
+oneShard(const CheckpointData &ckpt)
+{
+    GroupCheckpoint group;
+    group.shards.push_back(ckpt);
+    return group;
+}
+
 std::string
 bytes(const CheckpointData &ckpt)
 {
     std::ostringstream os;
-    saveCheckpoint(ckpt, os);
+    saveGroupCheckpoint(oneShard(ckpt), os);
     return os.str();
+}
+
+/** Loads a one-shard group snapshot back into its one checkpoint. */
+CheckpointData
+loadCheckpoint(std::istream &is)
+{
+    GroupCheckpoint group = loadGroupCheckpoint(is);
+    if (group.shards.size() != 1)
+        throw core::FormatError("expected a one-shard group");
+    return std::move(group.shards.front());
 }
 
 TEST(CheckpointRoundTrip, RandomizedStatesSurviveByteForByte)
@@ -137,15 +157,16 @@ TEST(CheckpointRoundTrip, AtomicFileWriteLeavesNoTmpBehind)
     std::mt19937_64 rng(13);
     const CheckpointData ckpt = randomCheckpoint(rng);
     const std::string path = testing::TempDir() + "ckpt_atomic_test";
-    saveCheckpointFile(ckpt, path);
+    saveGroupCheckpointFile(oneShard(ckpt), path);
     // The tmp staging file must be gone after the rename.
     std::ifstream tmp(path + ".tmp");
     EXPECT_FALSE(tmp.good());
-    const CheckpointData loaded = loadCheckpointFile(path);
-    EXPECT_EQ(bytes(loaded), bytes(ckpt));
+    const GroupCheckpoint loaded = loadGroupCheckpointFile(path);
+    ASSERT_EQ(loaded.shards.size(), 1u);
+    EXPECT_EQ(bytes(loaded.shards.front()), bytes(ckpt));
     std::remove(path.c_str());
 
-    EXPECT_THROW(loadCheckpointFile(path + ".does-not-exist"),
+    EXPECT_THROW(loadGroupCheckpointFile(path + ".does-not-exist"),
                  core::IoError);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the v2 group-committed checkpoint pipeline
- * (serve::CheckpointStore): group-snapshot round-trips, legacy v1
- * files loading as one-shard groups, disk recovery reproducing the
+ * (serve::CheckpointStore): group-snapshot round-trips, other layout
+ * versions rejected as counted cold starts, disk recovery reproducing the
  * live mirror byte-for-byte at every cut of a full-snapshot + delta
  * chain, and the corruption fallbacks — a truncated delta tail or a
  * bit-flipped segment must recover to the last good prefix of the
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/capture_io.h"
 #include "core/errors.h"
 #include "serve/checkpoint.h"
 #include "serve_test_util.h"
@@ -34,8 +35,10 @@ using serve_test::sharpModel;
 std::string
 bytes(const CheckpointData &ckpt)
 {
+    GroupCheckpoint group;
+    group.shards.push_back(ckpt);
     std::ostringstream os;
-    saveCheckpoint(ckpt, os);
+    saveGroupCheckpoint(group, os);
     return os.str();
 }
 
@@ -82,32 +85,27 @@ TEST(GroupCheckpointTest, RoundTripPreservesEveryShard)
             << "shard " << i;
 }
 
-TEST(GroupCheckpointTest, LegacyV1FileLoadsAsOneShardGroup)
+/** A snapshot frame of any other layout version (the retired
+ *  single-shard version 1 included) is not read: recovery counts it
+ *  as a decode failure and starts cold. */
+TEST(GroupCheckpointTest, OtherLayoutVersionIsACountedColdStart)
 {
-    std::mt19937_64 rng(7);
-    const auto model = sharpModel(rng);
-    core::Monitor m(model, core::MonitorConfig());
-    for (const auto &sts : eventfulStream(3))
-        m.step(sts);
-    const CheckpointData ckpt = stateAt(m);
-
     const std::string path = testing::TempDir() + "delta_ckpt_v1";
-    saveCheckpointFile(ckpt, path); // v1 writer, unchanged
+    {
+        const char magic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
+        std::ofstream os(path, std::ios::binary);
+        core::writeFramed(os, magic, 1, std::string(64, '\0'));
+    }
+    EXPECT_THROW(loadGroupCheckpointFile(path), core::FormatError);
 
-    const auto group = loadGroupCheckpointFile(path);
-    EXPECT_EQ(group.epoch, 0u);
-    ASSERT_EQ(group.shards.size(), 1u);
-    EXPECT_EQ(bytes(group.shards[0]), bytes(ckpt));
-
-    // The store's recovery path accepts the same legacy file.
     CheckpointStoreConfig cfg;
     cfg.path = path;
     cfg.num_shards = 1;
     CheckpointStore store(cfg);
     const auto recovered = store.recover();
     ASSERT_EQ(recovered.size(), 1u);
-    EXPECT_TRUE(recovered[0]);
-    EXPECT_EQ(bytes(store.mirror(0)), bytes(ckpt));
+    EXPECT_FALSE(recovered[0]);
+    EXPECT_EQ(store.stats().snapshot_decode_failures, 1u);
     removeStoreFiles(path);
 }
 

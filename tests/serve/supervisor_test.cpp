@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests of the supervision building blocks: the bounded queue's
- * two backpressure policies, and the sliding-window restart budget
- * that decides between restart and escalation.
+ * two backpressure policies and its counter merge, and the
+ * sliding-window restart budget that decides between restart and
+ * escalation.
  */
 
 #include <chrono>
@@ -197,12 +198,37 @@ TEST(RestartBudget, ZeroBudgetEscalatesImmediately)
     EXPECT_TRUE(budget.escalated());
 }
 
-TEST(ShardCheckpointPath, SuffixesOnlyWhenSharded)
+/** Merging a replaced queue's counters keeps every count and both
+ *  high-water marks; the queued-bytes gauge is the newer queue's. */
+TEST(StsQueue, StatsMergeKeepsCountsAndHighWaterMarks)
 {
-    EXPECT_EQ(shardCheckpointPath("", 0, 1), "");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 0, 1), "/tmp/ck");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 0, 3), "/tmp/ck.0");
-    EXPECT_EQ(shardCheckpointPath("/tmp/ck", 2, 3), "/tmp/ck.2");
+    QueueStats acc;
+    acc.pushed = 10;
+    acc.popped = 9;
+    acc.dropped_oldest = 1;
+    acc.blocked_pushes = 2;
+    acc.max_depth = 7;
+    acc.spurious_wakeups = 3;
+    acc.queued_bytes = 100;
+    acc.max_queued_bytes = 900;
+    QueueStats later;
+    later.pushed = 5;
+    later.popped = 4;
+    later.dropped_oldest = 2;
+    later.blocked_pushes = 1;
+    later.max_depth = 3;
+    later.spurious_wakeups = 1;
+    later.queued_bytes = 40;
+    later.max_queued_bytes = 1200;
+    acc += later;
+    EXPECT_EQ(acc.pushed, 15u);
+    EXPECT_EQ(acc.popped, 13u);
+    EXPECT_EQ(acc.dropped_oldest, 3u);
+    EXPECT_EQ(acc.blocked_pushes, 3u);
+    EXPECT_EQ(acc.max_depth, 7u);
+    EXPECT_EQ(acc.spurious_wakeups, 4u);
+    EXPECT_EQ(acc.queued_bytes, 40u);
+    EXPECT_EQ(acc.max_queued_bytes, 1200u);
 }
 
 } // namespace

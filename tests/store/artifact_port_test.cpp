@@ -2,10 +2,10 @@
  * @file
  * Port-level tests for the three persistence layers moved into the
  * EDDIEARC artifact store: trained models, capture-cache spills, and
- * checkpoint snapshots + delta chains. Each port must round-trip
- * bit-identically with its legacy format, keep the legacy files
- * loadable through the format-version switch, and fail typed (never
- * silently) on a corrupted container.
+ * checkpoint snapshots + delta chains. Models and checkpoints must
+ * round-trip bit-identically with their file formats (text models
+ * still load through the format switch), and every port fails typed
+ * (never silently) on a corrupted container.
  */
 
 #include <cstdio>
@@ -83,8 +83,10 @@ sameSts(const std::vector<core::Sts> &a,
 std::string
 checkpointBytes(const serve::CheckpointData &ckpt)
 {
+    serve::GroupCheckpoint group;
+    group.shards.push_back(ckpt);
     std::ostringstream os(std::ios::binary);
-    serve::saveCheckpoint(ckpt, os);
+    serve::saveGroupCheckpoint(group, os);
     return os.str();
 }
 
@@ -188,41 +190,6 @@ TEST(SpillPort, EvictionRoundTripsThroughTheArchive)
     std::remove(arc_path.c_str());
 }
 
-TEST(SpillPort, LegacySpillDirStillConsultedOnArchiveMiss)
-{
-    const std::string dir = tempPath("spill_dir");
-    const std::string arc_path = tempPath("spill_migrate.arc");
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    std::remove(arc_path.c_str());
-    const auto stream = serve_test::eventfulStream(14);
-
-    {
-        // Legacy deployment: spill directory only.
-        core::CaptureCacheConfig cfg;
-        cfg.capacity = 1;
-        cfg.spill_dir = dir;
-        core::CaptureCache cache(cfg);
-        (void)cache.getOrComputeShared("k0", [&] { return stream; });
-        (void)cache.getOrComputeShared(
-            "k1", [&] { return serve_test::eventfulStream(15); });
-    }
-    // Migrated deployment: archive preferred, directory fallback.
-    core::CaptureCacheConfig cfg;
-    cfg.capacity = 4;
-    cfg.spill_dir = dir;
-    cfg.spill_archive = arc_path;
-    core::CaptureCache cache(cfg);
-    const auto hit = cache.getOrComputeShared("k0", [&] {
-        ADD_FAILURE() << "legacy spill file was not consulted";
-        return stream;
-    });
-    EXPECT_TRUE(sameSts(stream, *hit));
-    EXPECT_EQ(cache.stats().disk_hits, 1u);
-    std::filesystem::remove_all(dir);
-    std::remove(arc_path.c_str());
-}
-
 /** Drives one monitor over the eventful stream, cutting deltas into
  *  @p store the way the serving runtime does: anchor with a full
  *  state, then chain delta cuts. */
@@ -281,45 +248,31 @@ TEST(CheckpointPort, ArchiveRecoveryBitIdenticalToFilePair)
     std::remove((arc_path + ".arc").c_str());
 }
 
-TEST(CheckpointPort, LegacyFilePairMigratesIntoTheArchive)
+/** Archive mode reads only the archive: a file pair at the same
+ *  path is not migrated, so the run starts cold. */
+TEST(CheckpointPort, ArchiveModeStartsColdBesideAFilePair)
 {
     std::mt19937_64 rng(18);
     const auto model = serve_test::sharpModel(rng);
-    const std::string path = tempPath("ckpt_migrate");
+    const std::string path = tempPath("ckpt_no_migrate");
     std::remove(path.c_str());
     std::remove((path + ".dlt").c_str());
     std::remove((path + ".arc").c_str());
 
-    serve::CheckpointStoreConfig legacy_cfg;
-    legacy_cfg.path = path;
-    legacy_cfg.num_shards = 1;
-    legacy_cfg.full_every = 1u << 20;
+    serve::CheckpointStoreConfig file_cfg;
+    file_cfg.path = path;
+    file_cfg.num_shards = 1;
     {
-        serve::CheckpointStore store(legacy_cfg);
+        serve::CheckpointStore store(file_cfg);
         driveStore(store, model);
     }
-
-    // Same path with use_archive: recovery reads the legacy files
-    // (the archive is empty), and the next snapshot lands in the
-    // archive.
-    serve::CheckpointStoreConfig arc_cfg = legacy_cfg;
+    serve::CheckpointStoreConfig arc_cfg = file_cfg;
     arc_cfg.use_archive = true;
-    std::string legacy_state;
-    {
-        serve::CheckpointStore store(arc_cfg);
-        const auto recovered = store.recover();
-        EXPECT_EQ(recovered, std::vector<bool>{true});
-        legacy_state = checkpointBytes(store.mirror(0));
-        store.forceFullSnapshot();
-        store.flush();
-    }
-    // A later run recovers the same state from the archive alone.
+    serve::CheckpointStore store(arc_cfg);
+    EXPECT_EQ(store.recover(), std::vector<bool>{false});
+    EXPECT_EQ(store.stats().snapshot_decode_failures, 0u);
     std::remove(path.c_str());
     std::remove((path + ".dlt").c_str());
-    serve::CheckpointStore store(arc_cfg);
-    const auto recovered = store.recover();
-    EXPECT_EQ(recovered, std::vector<bool>{true});
-    EXPECT_EQ(checkpointBytes(store.mirror(0)), legacy_state);
     std::remove((path + ".arc").c_str());
 }
 

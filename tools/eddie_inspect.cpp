@@ -20,7 +20,9 @@ namespace
 int
 run(int argc, char **argv)
 {
-    tools::Args args(argc, argv);
+    using K = tools::FlagKind;
+    const tools::Args args(argc, argv,
+                           {{"histogram", K::Int, 0}});
     if (args.positional().size() != 1) {
         std::fprintf(stderr, "usage: eddie_inspect <model-file> "
                              "[--histogram REGION]\n");
