@@ -1,5 +1,6 @@
 #include "cache.h"
 
+#include <bit>
 #include <stdexcept>
 
 namespace eddie::cpu
@@ -29,24 +30,13 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     if (!isPow2(num_sets_))
         throw std::invalid_argument("Cache: set count must be power of 2");
     lines_.assign(lines, Line{});
+    line_shift_ = unsigned(std::countr_zero(config_.line_bytes));
+    set_shift_ = unsigned(std::countr_zero(num_sets_));
 }
 
-bool
-Cache::access(std::uint64_t addr)
+void
+Cache::fill(Line *base, std::uint64_t tag)
 {
-    const std::uint64_t line_addr = addr / config_.line_bytes;
-    const std::size_t set = std::size_t(line_addr) & (num_sets_ - 1);
-    const std::uint64_t tag = line_addr / num_sets_;
-    Line *base = &lines_[set * config_.assoc];
-    ++tick_;
-
-    for (std::size_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lru = tick_;
-            ++hits_;
-            return true;
-        }
-    }
     ++misses_;
     // Victim: invalid way, else least recently used.
     std::size_t victim = 0;
@@ -64,7 +54,6 @@ Cache::access(std::uint64_t addr)
     base[victim].valid = true;
     base[victim].tag = tag;
     base[victim].lru = tick_;
-    return false;
 }
 
 void
@@ -78,16 +67,6 @@ Cache::flush()
 CacheHierarchy::CacheHierarchy(const CacheConfig &l1, const CacheConfig &l2)
     : l1_(l1), l2_(l2)
 {
-}
-
-MemLevel
-CacheHierarchy::access(std::uint64_t addr)
-{
-    if (l1_.access(addr))
-        return MemLevel::L1;
-    if (l2_.access(addr))
-        return MemLevel::L2;
-    return MemLevel::Dram;
 }
 
 void

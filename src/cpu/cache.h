@@ -29,7 +29,23 @@ class Cache
 
     /** Looks up @p addr (byte address); inserts on miss.
      *  @return true on hit. */
-    bool access(std::uint64_t addr);
+    bool access(std::uint64_t addr)
+    {
+        const std::uint64_t line_addr = addr >> line_shift_;
+        const std::size_t set = std::size_t(line_addr) & (num_sets_ - 1);
+        const std::uint64_t tag = line_addr >> set_shift_;
+        Line *base = &lines_[set * config_.assoc];
+        ++tick_;
+        for (std::size_t w = 0; w < config_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lru = tick_;
+                ++hits_;
+                return true;
+            }
+        }
+        fill(base, tag);
+        return false;
+    }
 
     /** Drops all contents (used between simulated runs). */
     void flush();
@@ -46,8 +62,13 @@ class Cache
         bool valid = false;
     };
 
+    /** Miss path: counts the miss and installs @p tag. */
+    void fill(Line *base, std::uint64_t tag);
+
     CacheConfig config_;
     std::size_t num_sets_;
+    unsigned line_shift_ = 0; ///< log2(line_bytes)
+    unsigned set_shift_ = 0;  ///< log2(num_sets_)
     std::vector<Line> lines_; // num_sets_ * assoc
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
@@ -69,7 +90,14 @@ class CacheHierarchy
     CacheHierarchy(const CacheConfig &l1, const CacheConfig &l2);
 
     /** Accesses the hierarchy; allocates in both levels on miss. */
-    MemLevel access(std::uint64_t addr);
+    MemLevel access(std::uint64_t addr)
+    {
+        if (l1_.access(addr))
+            return MemLevel::L1;
+        if (l2_.access(addr))
+            return MemLevel::L2;
+        return MemLevel::Dram;
+    }
 
     void flush();
 

@@ -17,6 +17,10 @@ namespace eddie::power
 /**
  * Accumulates energy deposited at arbitrary cycles into fixed-width
  * sample buckets (power = energy per bucket).
+ *
+ * The simulator deposits several events per retired instruction, so
+ * deposit() and sampleOf() are inline and divide by a multiply-shift
+ * reciprocal instead of a 64-bit divide.
  */
 class PowerTrace
 {
@@ -28,7 +32,18 @@ class PowerTrace
     PowerTrace(std::uint64_t cycles_per_sample, double clock_hz);
 
     /** Deposits @p energy at absolute @p cycle. */
-    void deposit(std::uint64_t cycle, double energy);
+    void deposit(std::uint64_t cycle, double energy)
+    {
+        bucket(sampleOf(cycle)) += energy;
+    }
+
+    /** Sample bucket @p b, growing the trace to hold it. */
+    double &bucket(std::uint64_t b)
+    {
+        if (b >= samples_.size())
+            grow(b);
+        return samples_[b];
+    }
 
     /**
      * Finalizes the trace up to @p end_cycle, adding
@@ -44,16 +59,23 @@ class PowerTrace
     const std::vector<double> &samples() const { return samples_; }
     std::vector<double> takeSamples() { return std::move(samples_); }
 
-    /** Bucket index of a cycle. */
+    /** Bucket index of a cycle: exactly cycle / cyclesPerSample(). */
     std::uint64_t sampleOf(std::uint64_t cycle) const
     {
-        return cycle / cycles_per_sample_;
+        if (magic_ == 0)
+            return cycle / cycles_per_sample_;
+        __extension__ using U128 = unsigned __int128;
+        return std::uint64_t((U128(cycle) * magic_) >> 64) >> shift_;
     }
 
   private:
-    void ensure(std::uint64_t bucket);
+    void grow(std::uint64_t bucket);
 
     std::uint64_t cycles_per_sample_;
+    /** floor(cycle * magic_ / 2^(64 + shift_)) == cycle / width for
+     *  every 64-bit cycle; 0 when no such 64-bit magic exists. */
+    std::uint64_t magic_ = 0;
+    unsigned shift_ = 0;
     double clock_hz_;
     std::vector<double> samples_;
 };

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "power/energy_model.h"
 #include "power/power_trace.h"
 
@@ -72,6 +77,38 @@ TEST(PowerTraceTest, SampleRate)
     EXPECT_DOUBLE_EQ(t.sampleRate(), 10e6);
     EXPECT_EQ(t.sampleOf(19), 0u);
     EXPECT_EQ(t.sampleOf(20), 1u);
+}
+
+// sampleOf() divides by a multiply-shift reciprocal where one exists;
+// it must agree with plain division for every cycle.
+TEST(PowerTraceTest, SampleOfEqualsDivision)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::mt19937_64 rng(99);
+    std::vector<std::uint64_t> widths;
+    for (std::uint64_t d = 1; d <= 64; ++d)
+        widths.push_back(d);
+    // Wide buckets, where no 64-bit reciprocal is exact.
+    for (std::uint64_t d : {std::uint64_t(1000), std::uint64_t(1) << 40,
+                            (std::uint64_t(1) << 63) + 1, kMax - 1, kMax})
+        widths.push_back(d);
+
+    for (const std::uint64_t d : widths) {
+        const PowerTrace t(d, 1.0);
+        std::vector<std::uint64_t> cycles = {
+            0, 1, 2, d - 1, d, d + 1, 2 * d - 1, 2 * d,
+            (std::uint64_t(1) << 32) - 1, std::uint64_t(1) << 32,
+            (std::uint64_t(1) << 63) - 1, std::uint64_t(1) << 63,
+            kMax / d * d - 1, kMax / d * d, kMax - 1, kMax};
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t x = rng();
+            cycles.push_back(x);                  // full range
+            cycles.push_back(x >> (x & 63));      // every magnitude
+            cycles.push_back(x / d * d + d - 1);  // last cycle of a bucket
+        }
+        for (const std::uint64_t c : cycles)
+            ASSERT_EQ(t.sampleOf(c), c / d) << "cycle " << c << " width " << d;
+    }
 }
 
 TEST(PowerTraceTest, BadArgsThrow)
