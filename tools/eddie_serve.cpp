@@ -229,7 +229,27 @@ run(int argc, char **argv)
                             {"expect", K::Int, 1, 1024},
                             {"tenant", K::Text},
                             {"idle-timeout-ms", K::Real, 0, 1e9}});
-    if (args.has("listen") || args.has("listen-pipe")) {
+    // Each mode reads only its own flags; one given to the other mode
+    // would be silently ignored, so it is a usage error instead.
+    const bool listen = args.has("listen") || args.has("listen-pipe");
+    static const char *const kCaptureOnly[] = {
+        "scale",       "seed",        "em",         "snr",
+        "threads",     "inject",      "payload",    "contamination",
+        "target",      "shards",      "stall-prob", "error-prob",
+        "source-seed", "retries",     "queue",      "drop-oldest",
+        "watch-model", "strict-resume"};
+    static const char *const kListenOnly[] = {"expect", "tenant",
+                                              "idle-timeout-ms"};
+    for (const char *flag : kCaptureOnly)
+        if (listen && args.has(flag))
+            throw tools::UsageError(std::string("flag --") + flag +
+                                    " does not apply with --listen or "
+                                    "--listen-pipe");
+    for (const char *flag : kListenOnly)
+        if (!listen && args.has(flag))
+            throw tools::UsageError(std::string("flag --") + flag +
+                                    " needs --listen or --listen-pipe");
+    if (listen) {
         if (args.positional().size() != 1) {
             std::fprintf(stderr,
                          "usage: eddie_serve <model-file> "
