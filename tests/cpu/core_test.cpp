@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "cpu/core.h"
 #include "prog/builder.h"
 #include "prog/regions.h"
@@ -79,6 +82,32 @@ TEST(CoreFunctionalTest, DivByZeroYieldsZero)
     b.halt();
     const auto rr = runProgram(b.take(), testConfig());
     EXPECT_EQ(rr.final_regs[3], 0);
+}
+
+// The ISA's arithmetic wraps in two's complement; none of these may
+// trap or be undefined on the host (the sanitizer build checks).
+TEST(CoreFunctionalTest, ArithmeticWrapsOnOverflow)
+{
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    ProgramBuilder b;
+    b.li(1, kMax);
+    b.li(2, 1);
+    b.add(3, 1, 2);   // kMin
+    b.sub(4, 3, 2);   // kMax
+    b.mul(5, 1, 1);   // (2^63 - 1)^2 mod 2^64 = 1
+    b.li(6, -1);
+    b.div(7, 3, 6);   // kMin / -1 wraps to kMin
+    b.div(8, 1, 6);   // -kMax
+    b.addi(9, 1, 1);  // kMin
+    b.halt();
+    const auto rr = runProgram(b.take(), testConfig());
+    EXPECT_EQ(rr.final_regs[3], kMin);
+    EXPECT_EQ(rr.final_regs[4], kMax);
+    EXPECT_EQ(rr.final_regs[5], 1);
+    EXPECT_EQ(rr.final_regs[7], kMin);
+    EXPECT_EQ(rr.final_regs[8], -kMax);
+    EXPECT_EQ(rr.final_regs[9], kMin);
 }
 
 TEST(CoreFunctionalTest, LoopComputesSum)
