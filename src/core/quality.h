@@ -15,9 +15,10 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "model.h"
+#include "ring_buffer.h"
 #include "sts.h"
 
 namespace eddie::core
@@ -94,7 +95,9 @@ struct DegradedStats
  * Scores windows one at a time. The energy baseline is the median of
  * the last energy_window *good* windows — quarantined windows never
  * contaminate it, so a long outage cannot drag the baseline down to
- * meet the degraded signal.
+ * meet the degraded signal. The gate keeps that window twice, in
+ * arrival order and ascending, so scoring a window neither allocates
+ * nor sorts.
  *
  * Streams written before the quality fields existed carry
  * window_energy == 0; the gate treats that as "unknown" and skips the
@@ -123,12 +126,21 @@ class QualityGate
 
     /** Drops the baseline window, returning the gate to its
      *  just-constructed state (Monitor::reset()). */
-    void reset() { energies_.clear(); }
+    void reset();
 
   private:
+    /** Appends one good-window energy, evicting the oldest when the
+     *  window is full. */
+    void push(double energy);
+
     const TrainedModel &model_;
     QualityConfig cfg_;
-    std::deque<double> energies_;
+    /** Baseline window in arrival order. */
+    RingQueue<double> energies_;
+    /** The same values, ascending: the median is read in place, and
+     *  each window inserts and erases one value without allocating
+     *  (capacity reserved at construction). */
+    std::vector<double> sorted_;
 };
 
 } // namespace eddie::core

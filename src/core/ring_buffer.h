@@ -47,6 +47,12 @@ class RingQueue
         ++count_;
     }
 
+    /** The @p i-th oldest element; precondition: i < size(). */
+    const T &at(std::size_t i) const
+    {
+        return slots_[(head_ + i) % slots_.size()];
+    }
+
     /** Removes and returns the oldest element; precondition:
      *  !empty(). */
     T popFront()
@@ -118,11 +124,37 @@ class PeakHistory
     /** Values per row (the padded rank count). */
     std::size_t width() const { return width_; }
 
+    /** Rows the ring holds at most. */
+    std::size_t capacity() const { return cap_; }
+
+    /** Storage slot, in [0, capacity()), of the @p i-th oldest held
+     *  row; the slots of consecutive rows wrap from capacity() - 1
+     *  to 0. */
+    std::size_t slot(std::size_t i) const
+    {
+        const std::size_t s = head_ + cap_ - count_ + i;
+        return s >= cap_ ? s - cap_ : s;
+    }
+
+    /** Push sequence number of the @p i-th oldest held row (0 for the
+     *  first push after reset()). Never reused, so a cache keyed by
+     *  (slot, sequence) cannot mistake a newer row for an older one,
+     *  across clear() included. */
+    std::uint64_t sequence(std::size_t i) const
+    {
+        return pushes_ - count_ + i;
+    }
+
+    /** Value at rank @p p of the row in storage slot @p s. */
+    double atSlot(std::size_t s, std::size_t p) const
+    {
+        return data_[s * width_ + p];
+    }
+
     /** Value at rank @p p of the @p i-th oldest held row. */
     double at(std::size_t i, std::size_t p) const
     {
-        const std::size_t row = (head_ + cap_ - count_ + i) % cap_;
-        return data_[row * width_ + p];
+        return atSlot(slot(i), p);
     }
 
     /** Drops all rows; capacity and width are kept. */

@@ -109,6 +109,66 @@ ksStatisticSorted(std::span<const double> sorted_reference,
 }
 
 double
+ksStatisticRanked(std::span<const RankedValue> g, std::size_t m)
+{
+    const std::size_t n = g.size();
+    if (m == 0 || n == 0)
+        return 0.0;
+    const double inv_m = 1.0 / double(m);
+    const double inv_n = 1.0 / double(n);
+    const auto gap = [&](std::size_t i, std::size_t j) {
+        return std::abs(double(i) * inv_m - double(j) * inv_n);
+    };
+    double d = 0.0;
+    if (n * 32 < m || m * 32 < n) {
+        // ksStatisticSorted's search walks. Walking the monitored tie
+        // groups visits, per group ending at e, R at the group (le)
+        // and R just before the next group (its lt; m past the last).
+        // Walking the reference instead visits the other plateaus'
+        // endpoints; both reach the maximum of |R - M| over the whole
+        // walk, so one loop serves both.
+        d = double(g[0].lt) * inv_m;
+        for (std::size_t k = 0; k < n;) {
+            std::size_t e = k + 1;
+            while (e < n && g[e].value == g[k].value)
+                ++e;
+            d = std::max(d, gap(g[k].le, e));
+            d = std::max(d, gap(e < n ? g[e].lt : m, e));
+            k = e;
+        }
+        return d;
+    }
+    // Merge walk: between two monitored tie groups R climbs from the
+    // first group's le to the next group's lt while M stays put, so
+    // |R - M| peaks at one of those two ends. The walk stops once
+    // either sample is used up; its two tail terms use the counts at
+    // that point, exactly as ksSortedMergeWalk does.
+    std::size_t exit_i = 0, exit_j = n, j = 0;
+    for (std::size_t k = 0; k < n;) {
+        std::size_t e = k + 1;
+        while (e < n && g[e].value == g[k].value)
+            ++e;
+        d = std::max(d, gap(g[k].lt, j));
+        if (g[k].lt == m) {
+            exit_i = m;
+            exit_j = j;
+            break;
+        }
+        d = std::max(d, gap(g[k].le, e));
+        exit_i = g[k].le;
+        j = e;
+        if (g[k].le == m) {
+            exit_j = e;
+            break;
+        }
+        k = e;
+    }
+    d = std::max(d, std::abs(1.0 - double(exit_j) * inv_n));
+    d = std::max(d, std::abs(double(exit_i) * inv_m - 1.0));
+    return d;
+}
+
+double
 ksStatistic(std::span<const double> reference,
             std::span<const double> monitored)
 {

@@ -19,6 +19,8 @@
 #ifndef EDDIE_STATS_KS_H
 #define EDDIE_STATS_KS_H
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace eddie::stats
@@ -62,6 +64,31 @@ double ksStatistic(std::span<const double> reference,
  */
 double ksStatisticSorted(std::span<const double> sorted_reference,
                          std::span<const double> sorted_monitored);
+
+/**
+ * One monitored value with its rank in a reference sample: @p lt
+ * reference values lie strictly below it, @p le at or below it. A
+ * monitor that tests the same value against the same reference on
+ * many consecutive windows counts these once and keeps them.
+ */
+struct RankedValue
+{
+    double value = 0.0;
+    std::uint32_t lt = 0;
+    std::uint32_t le = 0;
+};
+
+/**
+ * D statistic of a monitored group against a reference of @p m
+ * values, from the group's ranks in that reference alone: O(n), no
+ * reference access. @p sorted_group must be ascending by value and
+ * every value finite. Bit-identical to ksStatisticSorted on the same
+ * samples: it evaluates |i/m - j/n| at the endpoints of the walk
+ * ksStatisticSorted would choose (docs/ALGORITHM.md §11, "Cached
+ * reference ranks").
+ */
+double ksStatisticRanked(std::span<const RankedValue> sorted_group,
+                         std::size_t m);
 
 /** Full test on presorted samples; allocation-free. */
 KsResult ksTestSorted(std::span<const double> sorted_reference,

@@ -9,6 +9,9 @@
  * Also covers the chain-link and structural-corruption rejections
  * applyDelta() promises, and Monitor::reset() equivalence (the
  * property Pipeline::monitorBatch leans on to reuse shard monitors).
+ * Every resume is followed by steps to the end of the stream, so
+ * state the monitor derives rather than exports (its cached
+ * reference ranks) is checked too.
  */
 
 #include <cstddef>
@@ -120,6 +123,73 @@ TEST(MonitorDeltaTest, RestoreFromChainedStateContinuesBitIdentically)
 
     EXPECT_TRUE(sameRecords(resumed.records(), ref.records()));
     EXPECT_TRUE(sameReports(resumed.reports(), ref.reports()));
+}
+
+/**
+ * Resumes at every cut point and keeps stepping to the end of the
+ * stream. A monitor restored from exportState(), one restored from
+ * the delta chain, and one that stepped another stream before the
+ * restore must all end exactly where an uninterrupted monitor ends.
+ * The last one's cached reference ranks belong to rows that are not
+ * the restored ones, so a rank cache that restoreState() leaves
+ * stale fails here. A monitor that stepped another stream up to the
+ * cut and was then reset() must likewise replay the whole stream
+ * exactly.
+ */
+TEST(MonitorDeltaTest, ResumeAtEveryCutThenStepMatchesUninterrupted)
+{
+    std::mt19937_64 rng(7);
+    const auto model = sharpModel(rng);
+    const auto stream = eventfulStream(4242);
+    const auto other = eventfulStream(77);
+    const MonitorConfig cfg;
+
+    Monitor ref(model, cfg);
+    for (const auto &sts : stream)
+        ref.step(sts);
+    const MonitorState want = ref.exportState();
+
+    Monitor live(model, cfg);
+    MonitorState chained = live.exportState();
+    Monitor reused(model, cfg);
+    for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+        if (cut > 0) {
+            live.step(stream[cut - 1]);
+            applyDelta(chained, live.exportDelta());
+        }
+        const MonitorState snap = live.exportState();
+        const std::string where = "resumed at step " + std::to_string(cut);
+
+        Monitor fresh(model, cfg);
+        fresh.restoreState(snap);
+        Monitor from_chain(model, cfg);
+        from_chain.restoreState(chained);
+        reused.reset();
+        for (std::size_t i = 0; i < (cut * 37) % (other.size() - 20) + 20;
+             ++i)
+            reused.step(other[i]);
+        reused.restoreState(snap);
+        for (std::size_t i = cut; i < stream.size(); ++i) {
+            fresh.step(stream[i]);
+            from_chain.step(stream[i]);
+            reused.step(stream[i]);
+        }
+        expectStateEqual(fresh.exportState(), want, where + " (fresh)");
+        expectStateEqual(from_chain.exportState(), want,
+                         where + " (delta chain)");
+        expectStateEqual(reused.exportState(), want,
+                         where + " (reused monitor)");
+
+        Monitor recycled(model, cfg);
+        for (std::size_t i = 0; i < cut; ++i)
+            recycled.step(other[i]);
+        recycled.reset();
+        for (const auto &sts : stream)
+            recycled.step(sts);
+        expectStateEqual(recycled.exportState(), want,
+                         "reset after step " + std::to_string(cut));
+        ASSERT_FALSE(::testing::Test::HasFailure()) << where;
+    }
 }
 
 TEST(MonitorDeltaTest, ChainGapIsRejectedBeforeMutation)
