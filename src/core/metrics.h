@@ -158,9 +158,10 @@ struct ServeStats
     /** Delta-log segments discarded by those fallbacks. */
     std::uint64_t delta_segments_dropped = 0;
     /** Per-stage worker time, summed across shards: blocking in
-     *  StsQueue::popBatch vs. stepping the monitor vs. cutting
-     *  deltas — the breakdown that makes a flat sharding curve
-     *  attributable instead of mysterious. */
+     *  StsQueue::popBatch vs. stepping the monitor (with the
+     *  worker's per-window bookkeeping) vs. cutting deltas — the
+     *  breakdown that makes a flat sharding curve attributable
+     *  instead of mysterious. */
     double queue_wait_ms = 0.0;
     double step_ms = 0.0;
     double checkpoint_ms = 0.0;
