@@ -7,8 +7,10 @@
  * monitor.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -260,6 +262,44 @@ TEST(QualityGateTest, LegacyStreamsSkipEnergyGates)
         EXPECT_FALSE(rec.degraded);
     }
     EXPECT_EQ(mon.degradedStats().quarantined, 0u);
+}
+
+TEST(QualityGateTest, BaselineIsMedianOfTheEnergyWindow)
+{
+    // The gate reads its median from a sorted copy it updates one
+    // value at a time; it must equal a fresh selection over the
+    // window after every window, ties and restores included.
+    std::mt19937_64 rng(11);
+    const auto model = sharpModel(rng);
+    QualityConfig cfg;
+    QualityGate gate(model, cfg);
+    std::uniform_int_distribution<int> level(1, 5);
+    std::uniform_real_distribution<double> cont(1.0, 4.0);
+    for (int i = 0; i < 500; ++i) {
+        auto sts = sharpSts(rng, 0.0, 0);
+        sts.window_energy = i % 3 == 0 ? cont(rng) : double(level(rng));
+        ASSERT_EQ(gate.assess(sts, 0), WindowQuality::Good);
+        std::vector<double> window = gate.exportEnergies();
+        ASSERT_EQ(window.size(),
+                  std::min<std::size_t>(i + 1, cfg.energy_window));
+        std::nth_element(window.begin(),
+                         window.begin() + std::ptrdiff_t(window.size() / 2),
+                         window.end());
+        const double want = window.size() < cfg.energy_warmup
+                                ? 0.0
+                                : window[window.size() / 2];
+        ASSERT_EQ(gate.baseline(), want) << "after window " << i;
+        if (i == 250) {
+            // Restoring more values than the window keeps the newest.
+            std::vector<double> longer(cfg.energy_window + 7);
+            for (double &e : longer)
+                e = double(level(rng));
+            gate.restoreEnergies(longer);
+            EXPECT_EQ(gate.exportEnergies(),
+                      std::vector<double>(longer.begin() + 7,
+                                          longer.end()));
+        }
+    }
 }
 
 TEST(QualityGateTest, ScoreRunCountsDegradedGroupsSeparately)
