@@ -21,9 +21,8 @@
  * WireListener/WireClient vs the same session in-process, plus a
  * byte-level chaos run whose reconnect replay and typed malformed
  * rejections must still converge verdict-identical), measures the
- * EDDIEARC artifact store (model text parse vs archive mmap
- * reload, keyed spill warm hits, delta group commits and recovery
- * into file pair vs container, plus the tail-only
+ * EDDIEARC artifact store (model mmap reload, keyed spill warm
+ * hits, recovery after a delta chain, plus the tail-only
  * sector-verification proof), and
  * atomically writes a machine-readable BENCH_pipeline.json (tmp +
  * rename) with stage wall-times, before/after kernel speedups,
@@ -635,22 +634,19 @@ runBench(int argc, char **argv)
                      serve_ckpt_stats));
         if (serve_ckpt_ms < 0.0 || ms < serve_ckpt_ms)
             serve_ckpt_ms = ms;
-        // Fresh files each repetition — otherwise rep N+1 appends to
-        // rep N's delta log and replays it at startup.
-        std::remove(ckpt_cfg.checkpoint_path.c_str());
-        std::remove((ckpt_cfg.checkpoint_path + ".dlt").c_str());
+        // A fresh container each repetition — otherwise rep N+1
+        // appends to rep N's archive.
+        std::remove((ckpt_cfg.checkpoint_path + ".arc").c_str());
     }
     const double serve_sts_per_sec =
         perSec(serve_total_sts, serve_steady_ms);
-    std::remove(ckpt_cfg.checkpoint_path.c_str());
-    std::remove((ckpt_cfg.checkpoint_path + ".dlt").c_str());
     const double ckpt_overhead_pct =
         (serve_ckpt_ms / serve_steady_ms - 1.0) * 100.0;
 
-    // Isolated cost of one checkpoint write: serialize + fsync-free
-    // atomic rename of a full end-of-stream monitor state, and the
+    // Isolated cost of one checkpoint write: a one-shard store's full
+    // snapshot commit of an end-of-stream monitor state, and the
     // incremental alternative — cutting a steady-state delta and
-    // group-committing it to the append-only log.
+    // group-committing it as one keyed archive segment.
     core::Monitor full_monitor(model, cfg.monitor);
     for (const auto &sts : *streams.front())
         full_monitor.step(sts);
@@ -658,13 +654,7 @@ runBench(int argc, char **argv)
     snap.monitor = full_monitor.exportState();
     snap.source_pos = snap.monitor.step_index;
     const std::string snap_path = out_path + ".serve-snap";
-    serve::GroupCheckpoint snap_group;
-    snap_group.shards.push_back(snap);
-    const double checkpoint_write_ms = bestOf(5, [&] {
-        serve::saveGroupCheckpointFile(snap_group, snap_path);
-    });
-    std::remove(snap_path.c_str());
-
+    double checkpoint_write_ms = 0.0;
     double delta_commit_ms = 0.0;
     {
         serve::CheckpointStoreConfig store_cfg;
@@ -672,16 +662,17 @@ runBench(int argc, char **argv)
         store_cfg.num_shards = 1;
         store_cfg.full_every = 1u << 20; // never rewrite in the loop
         serve::CheckpointStore store(store_cfg);
-        store.submitFull(0, snap);
+        checkpoint_write_ms = bestOf(5, [&] {
+            store.submitFull(0, snap);
+            store.flush();
+        });
         full_monitor.resetDeltaBaseline(); // deltas chain off snap
-        store.flush(); // full snapshot; later flushes are deltas
         delta_commit_ms = bestOf(5, [&] {
             store.submitDelta(0, full_monitor.exportDelta());
             store.flush();
         });
     }
-    std::remove(snap_path.c_str());
-    std::remove((snap_path + ".dlt").c_str());
+    std::remove((snap_path + ".arc").c_str());
 
     serve::ServeConfig rec_cfg = steady_cfg;
     rec_cfg.checkpoint_interval = 16;
@@ -1335,31 +1326,21 @@ runBench(int argc, char **argv)
                     wire_chaotic.st.duplicates_dropped,
                 (unsigned long long)wire_chaotic.st.nacks_sent);
 
-    // Stage 7: the EDDIEARC artifact store (src/store/) next to the
-    // per-kind persistence it sits beside (text models, file pairs).
+    // Stage 7: the EDDIEARC artifact store (src/store/), the one
+    // on-disk format of models, capture spills and checkpoints.
     //
     // (a) Model load / hot-reload: the supervisor's reload path is
-    // loadModelFile() end to end, so that is what both variants time —
-    // text parse vs archive open + mmap + CRC-verify + binary decode.
-    const std::string model_text_path = out_path + ".model.txt";
+    // loadModelFile() end to end — archive open + mmap + CRC-verify +
+    // binary decode.
     const std::string model_arc_path = out_path + ".model.arc";
-    core::saveModelFile(model, model_text_path,
-                        core::ModelFormat::Text);
-    core::saveModelFile(model, model_arc_path,
-                        core::ModelFormat::Archive);
-    const double model_text_load_ms = bestOf(
-        5, [&] { (void)core::loadModelFile(model_text_path); });
+    core::saveModelFile(model, model_arc_path);
     const double model_arc_load_ms = bestOf(
         5, [&] { (void)core::loadModelFile(model_arc_path); });
-    const double model_reload_speedup =
-        model_text_load_ms / model_arc_load_ms;
-    // Bit-identity of the port: both files decode to models whose
-    // canonical binary encodings match byte for byte.
+    // Bit-identity of the port: the reloaded model's canonical binary
+    // encoding matches the trained model's byte for byte.
     const bool model_roundtrip_identical =
-        core::encodeModelBinary(
-            core::loadModelFile(model_text_path)) ==
-        core::encodeModelBinary(core::loadModelFile(model_arc_path));
-    std::remove(model_text_path.c_str());
+        core::encodeModelBinary(core::loadModelFile(model_arc_path)) ==
+        core::encodeModelBinary(model);
     std::remove(model_arc_path.c_str());
 
     // (b) Capture-spill warm hit: evict one stream to the archive
@@ -1385,37 +1366,16 @@ runBench(int argc, char **argv)
     }
     std::remove(spill_arc_cfg.spill_archive.c_str());
 
-    // (c) Checkpoint delta group commit: the same submitDelta+flush
-    // loop as the file-pair measurement above, but landing in the
-    // archive (one keyed segment per commit).
-    double delta_commit_arc_ms = 0.0;
+    // (c) Recovery latency after a long delta chain, measured over
+    // the full CheckpointStore::recover() (open + scan + replay). The
+    // delta commit itself is the serving stage's delta_commit_ms.
+    constexpr std::size_t kRecoveryDeltas = 32;
+    double recovery_arc_ms = 0.0;
     {
         serve::CheckpointStoreConfig store_cfg;
         store_cfg.path = snap_path;
         store_cfg.num_shards = 1;
         store_cfg.full_every = 1u << 20;
-        store_cfg.use_archive = true;
-        serve::CheckpointStore store(store_cfg);
-        store.submitFull(0, snap);
-        full_monitor.resetDeltaBaseline();
-        store.flush();
-        delta_commit_arc_ms = bestOf(5, [&] {
-            store.submitDelta(0, full_monitor.exportDelta());
-            store.flush();
-        });
-    }
-    std::remove((snap_path + ".arc").c_str());
-
-    // (d) Recovery latency after a long delta chain, file pair vs
-    // archive, measured over the full CheckpointStore::recover()
-    // (open + scan + replay).
-    constexpr std::size_t kRecoveryDeltas = 32;
-    const auto buildAndRecover = [&](bool use_archive) {
-        serve::CheckpointStoreConfig store_cfg;
-        store_cfg.path = snap_path;
-        store_cfg.num_shards = 1;
-        store_cfg.full_every = 1u << 20;
-        store_cfg.use_archive = use_archive;
         {
             serve::CheckpointStore store(store_cfg);
             store.submitFull(0, snap);
@@ -1426,21 +1386,15 @@ runBench(int argc, char **argv)
                 store.flush();
             }
         }
-        const double ms = bestOf(3, [&] {
+        recovery_arc_ms = bestOf(3, [&] {
             serve::CheckpointStore fresh(store_cfg);
-            if (fresh.recover() !=
-                std::vector<bool>{true})
+            if (fresh.recover() != std::vector<bool>{true})
                 throw std::runtime_error("recovery bench failed");
         });
-        std::remove(snap_path.c_str());
-        std::remove((snap_path + ".dlt").c_str());
         std::remove((snap_path + ".arc").c_str());
-        return ms;
-    };
-    const double recovery_files_ms = buildAndRecover(false);
-    const double recovery_arc_ms = buildAndRecover(true);
+    }
 
-    // (e) Tail-only verification proof: populate an archive with many
+    // (d) Tail-only verification proof: populate an archive with many
     // multi-sector artifacts, reopen (header scan only), read ONE key
     // — the stats must show only that key's payload sectors were
     // CRC-verified, machine-independently.
@@ -1472,17 +1426,11 @@ runBench(int argc, char **argv)
         arc_sectors_verified < arc_sectors_total;
 
     std::printf("artifact store (EDDIEARC):\n");
-    std::printf("  model load:   text %8.3f ms, archive %8.3f ms "
-                "(%.1fx)%s\n",
-                model_text_load_ms, model_arc_load_ms,
-                model_reload_speedup,
+    std::printf("  model load:   %8.3f ms%s\n", model_arc_load_ms,
                 model_roundtrip_identical ? "" : "  ROUNDTRIP MISMATCH");
-    std::printf("  spill hit:    archive %8.3f ms\n", spill_arc_hit_ms);
-    std::printf("  delta commit: files %7.3f ms, archive %8.3f ms\n",
-                delta_commit_ms, delta_commit_arc_ms);
-    std::printf("  recovery (%zu deltas): files %8.3f ms, archive "
-                "%8.3f ms\n",
-                kRecoveryDeltas, recovery_files_ms, recovery_arc_ms);
+    std::printf("  spill hit:    %8.3f ms\n", spill_arc_hit_ms);
+    std::printf("  recovery (%zu deltas): %8.3f ms\n", kRecoveryDeltas,
+                recovery_arc_ms);
     std::printf("  verified %llu of %llu payload sectors after "
                 "one-key read%s\n",
                 (unsigned long long)arc_sectors_verified,
@@ -1821,24 +1769,16 @@ runBench(int argc, char **argv)
                  wire_verdicts_ok ? "true" : "false");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"artifact_store\": {\n");
-    std::fprintf(f, "    \"model_text_load_ms\": %.3f,\n",
-                 model_text_load_ms);
     std::fprintf(f, "    \"model_arc_load_ms\": %.3f,\n",
                  model_arc_load_ms);
-    std::fprintf(f, "    \"model_reload_speedup\": %.3f,\n",
-                 model_reload_speedup);
     std::fprintf(f, "    \"model_roundtrip_identical\": %s,\n",
                  model_roundtrip_identical ? "true" : "false");
     std::fprintf(f, "    \"spill_arc_hit_ms\": %.3f,\n",
                  spill_arc_hit_ms);
-    std::fprintf(f, "    \"delta_commit_file_ms\": %.3f,\n",
-                 delta_commit_ms);
-    std::fprintf(f, "    \"delta_commit_arc_ms\": %.3f,\n",
-                 delta_commit_arc_ms);
     std::fprintf(f,
                  "    \"recovery\": {\"delta_segments\": %zu, "
-                 "\"files_ms\": %.3f, \"archive_ms\": %.3f},\n",
-                 kRecoveryDeltas, recovery_files_ms, recovery_arc_ms);
+                 "\"archive_ms\": %.3f},\n",
+                 kRecoveryDeltas, recovery_arc_ms);
     std::fprintf(f,
                  "    \"sector_verify\": {\"payload_sectors_total\": "
                  "%llu, \"payload_sectors_verified\": %llu}\n",
@@ -1866,8 +1806,6 @@ runBench(int argc, char **argv)
                  synth_after.awgn_ms <= synth_before.awgn_ms
                      ? "true"
                      : "false");
-    std::fprintf(f, "    \"model_mmap_reload_ge_2x\": %s,\n",
-                 model_reload_speedup >= 2.0 ? "true" : "false");
     std::fprintf(f, "    \"archive_recovery_tail_only\": %s,\n",
                  recovery_tail_only ? "true" : "false");
     std::fprintf(f, "    \"verdicts_identical\": %s,\n",

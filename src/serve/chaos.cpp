@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <random>
 #include <thread>
 #include <utility>
@@ -15,6 +17,7 @@
 #include "faults/source_faults.h"
 #include "prog/builder.h"
 #include "prog/regions.h"
+#include "store/archive.h"
 #include "supervisor.h"
 #include "wire_listener.h"
 
@@ -209,27 +212,39 @@ truncateTail(const std::string &path, std::uint64_t bytes)
     return ec ? 0 : bytes;
 }
 
-/** XOR-flips 8 bytes in the middle of @p path (past any header
- *  magic), guaranteeing a payload-CRC mismatch on decode. */
+/** XOR-flips 8 bytes in the middle of @p key's live value inside the
+ *  archive at @p path, so its payload sector CRC fails on the next
+ *  read. The live value is the newest copy of its bytes in the
+ *  append-only file, hence the rfind. */
 bool
-flipBytes(const std::string &path)
+flipArchiveValue(const std::string &path, const std::string &key)
 {
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (ec || size < 48)
+    std::optional<std::string> value;
+    {
+        store::ArchiveConfig acfg;
+        acfg.path = path;
+        store::Archive arc(acfg);
+        value = arc.getCopy(key);
+    }
+    if (!value || value->size() < 48)
+        return false;
+    std::string file;
+    {
+        std::ifstream is(path, std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::size_t at = file.rfind(*value);
+    if (at == std::string::npos)
         return false;
     std::fstream f(path,
                    std::ios::in | std::ios::out | std::ios::binary);
     if (!f)
         return false;
-    const std::uintmax_t off = size / 2;
+    const std::size_t off = at + value->size() / 2;
     char buf[8];
-    f.seekg(static_cast<std::streamoff>(off));
-    f.read(buf, sizeof buf);
-    if (f.gcount() != sizeof buf)
-        return false;
-    for (char &c : buf)
-        c = static_cast<char>(c ^ 0xFF);
+    for (std::size_t i = 0; i < sizeof buf; ++i)
+        buf[i] = static_cast<char>(file[off + i] ^ 0xFF);
     f.seekp(static_cast<std::streamoff>(off));
     f.write(buf, sizeof buf);
     f.flush();
@@ -356,10 +371,8 @@ runChaos(const ChaosConfig &cfg)
     scfg.checkpoint_interval = cfg.checkpoint_interval;
     scfg.full_snapshot_every = cfg.full_snapshot_every;
     scfg.scheduler.workers = cfg.scheduler_workers;
-    if (!cfg.dir.empty()) {
+    if (!cfg.dir.empty())
         scfg.checkpoint_path = cfg.dir + "/ck";
-        scfg.checkpoint_archive = cfg.archive;
-    }
 
     // ---- Phase A: faulted fleet run --------------------------------
     std::uint64_t victim_shed = 0;
@@ -456,29 +469,12 @@ runChaos(const ChaosConfig &cfg)
 
     // ---- Phase B: torn group commit, then resume -------------------
     if (!cfg.dir.empty() && cfg.fates.torn_commit) {
-        // Archive mode tears the shared container's tail (the newest
-        // commit group, whoever's it was). File mode tears whichever
-        // tenant delta log is fattest — logs compact into the
-        // snapshot on full rewrites, so a fast run can leave them
-        // empty; then nothing tears and resume is trivially clean.
-        std::string target = scfg.checkpoint_path + ".arc";
-        if (!cfg.archive) {
-            std::uintmax_t best = 0;
-            for (std::size_t t = 0; t < cfg.tenants; ++t) {
-                const std::string log = scfg.checkpoint_path + "." +
-                                        tenantId(t) + ".dlt";
-                std::error_code ec;
-                const std::uintmax_t size =
-                    std::filesystem::file_size(log, ec);
-                if (!ec && size > best) {
-                    best = size;
-                    target = log;
-                }
-            }
-        }
+        // Tear the shared container's tail: the newest commit group,
+        // whoever's it was.
         const std::uint64_t bytes =
             1 + faults::fateMix(cfg.seed, kTearSalt, kTearSalt) % 512;
-        rep.torn_bytes += truncateTail(target, bytes);
+        rep.torn_bytes +=
+            truncateTail(scfg.checkpoint_path + ".arc", bytes);
 
         TenantRegistry reg;
         buildRegistry(reg, false); // clean resume: no quotas
@@ -517,11 +513,10 @@ runChaos(const ChaosConfig &cfg)
 
     // ---- Phase C: corrupt victim snapshot, then resume -------------
     if (!cfg.dir.empty() && cfg.fates.corrupt_checkpoint) {
-        // Always file mode: the flip must provably hit the victim's
-        // snapshot and nobody else's.
+        // A fresh container, so the flip provably hits the victim's
+        // live snapshot value and nobody else's.
         ServeConfig ccfg = scfg;
         ccfg.checkpoint_path = cfg.dir + "/fc";
-        ccfg.checkpoint_archive = false;
         {
             TenantRegistry reg;
             buildRegistry(reg, false);
@@ -530,10 +525,11 @@ runChaos(const ChaosConfig &cfg)
             Supervisor sup(ccfg);
             sup.runFleet(reg);
         }
-        const std::string victim_snap =
-            ccfg.checkpoint_path + "." + tenantId(0);
-        if (!flipBytes(victim_snap)) {
-            fail("phase C: victim snapshot " + victim_snap +
+        const std::string victim_key = "tenant/" + tenantId(0) +
+                                       "/ckpt/snap";
+        if (!flipArchiveValue(ccfg.checkpoint_path + ".arc",
+                              victim_key)) {
+            fail("phase C: victim snapshot " + victim_key +
                  " missing or too small to corrupt");
         } else {
             ++rep.corrupted_snapshots;

@@ -59,10 +59,11 @@ struct ChaosFates
     /** Victim STS/s quota; Throttle or Shed chosen by the seed so
      *  both postures appear across a seed grid. */
     bool starvation = true;
-    /** Truncate the tail of the checkpoint artifact, then resume. */
+    /** Truncate the tail of the checkpoint container, then resume. */
     bool torn_commit = true;
-    /** Flip a byte in the victim's snapshot, then resume (always
-     *  file-mode: the flip must hit the victim, not a neighbor). */
+    /** Flip bytes in the victim's live snapshot value inside a fresh
+     *  shared container, then resume (only the victim's breaker may
+     *  trip). */
     bool corrupt_checkpoint = true;
 };
 
@@ -90,8 +91,6 @@ struct ChaosConfig
      *  checkpoints only; the disk fates (torn_commit,
      *  corrupt_checkpoint) are skipped. */
     std::string dir;
-    /** EDDIEARC container vs per-tenant file pairs for phases A/B. */
-    bool archive = true;
     ChaosFates fates;
     /** Watchdog tuning (short deadlines keep hang fates cheap). */
     double heartbeat_deadline_ms = 40.0;

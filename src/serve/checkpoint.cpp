@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -23,12 +22,12 @@ constexpr char kMagic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
 constexpr char kDeltaMagic[8] = {'E', 'D', 'D', 'I',
                                  'E', 'D', 'L', 'T'};
 constexpr std::uint32_t kGroupVersion = 2; ///< epoch + all shards
-constexpr std::uint32_t kDeltaVersion = 1; ///< delta-log segment
+constexpr std::uint32_t kDeltaVersion = 1; ///< delta segment
 /** Element-count sanity cap; a corrupt length field must fail as
  *  FormatError, not as a giant allocation. */
 constexpr std::uint64_t kMaxElements = std::uint64_t(1) << 32;
 
-/** Archive-mode keys: the snapshot image and the numbered delta
+/** Archive keys: the snapshot image and the numbered delta
  *  segments ("ckpt/dlt/00000000", …; zero-padded so the archive's
  *  lexicographic key order IS replay order). */
 constexpr const char *kSnapKey = "ckpt/snap";
@@ -357,52 +356,6 @@ loadGroupCheckpoint(std::istream &is)
     return group;
 }
 
-void
-saveGroupCheckpointFile(const GroupCheckpoint &group,
-                        const std::string &path)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        errno = 0; // stream failures report the underlying errno
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw core::ioErrorErrno("checkpoint: open for write",
-                                     tmp);
-        }
-        try {
-            saveGroupCheckpoint(group, os);
-        } catch (...) {
-            os.close();
-            std::remove(tmp.c_str());
-            throw;
-        }
-        os.flush();
-        if (!os) {
-            auto err = core::ioErrorErrno("checkpoint: write", tmp);
-            os.close();
-            std::remove(tmp.c_str());
-            throw err;
-        }
-    }
-    errno = 0;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        auto err = core::ioErrorErrno(
-            "checkpoint: rename to " + path, tmp);
-        std::remove(tmp.c_str());
-        throw err;
-    }
-}
-
-GroupCheckpoint
-loadGroupCheckpointFile(const std::string &path)
-{
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw core::ioErrorErrno("checkpoint: open", path);
-    return loadGroupCheckpoint(is);
-}
-
 std::size_t
 appendDeltaSegment(std::ostream &os, const DeltaSegment &seg)
 {
@@ -427,7 +380,7 @@ bool
 readDeltaSegment(std::istream &is, DeltaSegment &seg)
 {
     if (is.peek() == std::char_traits<char>::eof())
-        return false; // clean end of log
+        return false; // clean end of stream
     std::string payload;
     core::readFramed(is, kDeltaMagic, kDeltaVersion, 1, "delta log",
                      payload);
@@ -451,11 +404,14 @@ CheckpointStore::CheckpointStore(const CheckpointStoreConfig &cfg)
     : cfg_(cfg), mirrors_(std::max<std::size_t>(cfg.num_shards, 1)),
       mirror_gen_(mirrors_.size(), 0)
 {
+    if (!cfg_.use_archive)
+        throw core::Error("checkpoint: use_archive = false is not "
+                          "supported; EDDIEARC is the only layout");
     if (cfg_.full_every == 0)
         cfg_.full_every = 1;
     if (cfg_.shared_archive != nullptr) {
         arc_ = cfg_.shared_archive;
-    } else if (cfg_.use_archive && !cfg_.path.empty()) {
+    } else if (!cfg_.path.empty()) {
         store::ArchiveConfig arc;
         arc.path = cfg_.path + ".arc";
         archive_ = std::make_unique<store::Archive>(arc);
@@ -509,11 +465,16 @@ CheckpointStore::applySegmentLocked(const DeltaSegment &seg)
     return true;
 }
 
-void
-CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
+std::vector<bool>
+CheckpointStore::recover()
 {
-    // A missing snapshot segment is a cold start; a damaged one is
-    // counted, then also a cold start.
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<bool> recovered(mirrors_.size(), false);
+    if (arc_ == nullptr)
+        return recovered; // in-memory only
+
+    // A missing snapshot is a cold start; a damaged one is counted,
+    // then also a cold start.
     std::span<const char> snap;
     const store::GetStatus got = arc_->get(snapKeyStr(), snap);
     if (got != store::GetStatus::Ok) {
@@ -521,7 +482,7 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
         // the fleet breaker keys off this counter.
         if (got == store::GetStatus::Corrupt)
             ++stats_.snapshot_decode_failures;
-        return;
+        return recovered;
     }
     GroupCheckpoint group;
     try {
@@ -529,7 +490,7 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
         group = loadGroupCheckpoint(is);
     } catch (const core::Error &) {
         ++stats_.snapshot_decode_failures;
-        return;
+        return recovered;
     }
     for (std::size_t i = 0;
          i < group.shards.size() && i < mirrors_.size(); ++i) {
@@ -539,10 +500,12 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
     epoch_ = group.epoch;
 
     // Replay the delta segments in key order (zero-padded numbering
-    // makes that commit order). Only the chain the snapshot anchors
-    // exists — the snapshot rewrite removed older keys in the same
-    // atomic commit that landed it — but the epoch check stays as
-    // defense in depth.
+    // makes that commit order). Each segment commits transactionally
+    // (applySegmentLocked), so a corrupt or chain-broken one leaves
+    // every mirror at the previous good cut. Only the chain the
+    // snapshot anchors exists — the snapshot rewrite removed older
+    // keys in the same atomic commit that landed it — but the epoch
+    // check stays as defense in depth.
     const std::string prefix = deltaPrefixStr();
     for (const auto &key : arc_->keys()) {
         if (key.rfind(prefix, 0) != 0)
@@ -567,72 +530,6 @@ CheckpointStore::recoverFromArchiveLocked(std::vector<bool> &recovered)
             break;
         }
         if (seg.epoch != epoch_) {
-            ++stats_.delta_segments_dropped;
-            continue;
-        }
-        if (!applySegmentLocked(seg)) {
-            ++stats_.delta_fallbacks;
-            ++stats_.delta_segments_dropped;
-            break;
-        }
-    }
-}
-
-std::vector<bool>
-CheckpointStore::recover()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<bool> recovered(mirrors_.size(), false);
-    // A shared archive works without a path (keys are the namespace);
-    // path-less AND archive-less means in-memory only.
-    if (cfg_.path.empty() && arc_ == nullptr)
-        return recovered;
-
-    if (arc_) {
-        recoverFromArchiveLocked(recovered);
-        return recovered;
-    }
-
-    GroupCheckpoint group;
-    try {
-        group = loadGroupCheckpointFile(cfg_.path);
-    } catch (const core::FormatError &) {
-        // The file exists but its bytes are rotten (or in a layout
-        // this build no longer reads): counted so the caller can tell
-        // corruption from a cold start.
-        ++stats_.snapshot_decode_failures;
-        return recovered;
-    } catch (const core::Error &) {
-        return recovered; // missing or unreadable: cold start
-    }
-
-    for (std::size_t i = 0;
-         i < group.shards.size() && i < mirrors_.size(); ++i) {
-        mirrors_[i] = std::move(group.shards[i]);
-        recovered[i] = true;
-    }
-    epoch_ = group.epoch;
-
-    // Replay matching-epoch delta segments. Each segment commits
-    // transactionally: decode fully (CRC-checked by the framing),
-    // apply onto copies, then publish — so a torn or chain-broken
-    // segment leaves every mirror at the previous good cut.
-    std::ifstream dlt(cfg_.path + ".dlt", std::ios::binary);
-    if (!dlt)
-        return recovered;
-    DeltaSegment seg;
-    while (true) {
-        try {
-            if (!readDeltaSegment(dlt, seg))
-                break;
-        } catch (const core::Error &) {
-            ++stats_.delta_fallbacks;
-            ++stats_.delta_segments_dropped;
-            break;
-        }
-        if (seg.epoch != epoch_) {
-            // Stale segment from before the last snapshot rewrite (a
-            // crash between the rename and the truncation).
             ++stats_.delta_segments_dropped;
             continue;
         }
@@ -691,7 +588,7 @@ CheckpointStore::foldAllLocked()
 {
     // Advances the mirrors to the newest cut by consuming every
     // queued delta (staged_ first: those are older). Only the full
-    // snapshot rewrite and the path-less flush need this — in the
+    // snapshot rewrite and the in-memory flush need this — in the
     // steady state the mirrors deliberately lag, so the hot path
     // never pays applyDelta at all.
     const auto fold = [this](std::vector<DeltaEntry> &entries) {
@@ -713,7 +610,7 @@ CheckpointStore::mirror(std::size_t shard)
     if (shard >= mirrors_.size())
         return CheckpointData{};
     // Non-consuming read: replay this shard's unfolded deltas onto a
-    // copy, leaving the queues intact for the next log write /
+    // copy, leaving the queues intact for the next delta commit /
     // snapshot fold. Restart-path only, so O(queued) is fine.
     CheckpointData out = mirrors_[shard];
     const auto replay = [&](const std::vector<DeltaEntry> &entries) {
@@ -735,29 +632,23 @@ CheckpointStore::forceFullSnapshot()
     full_dirty_ = true;
 }
 
-void
-CheckpointStore::openDeltaLogLocked(bool truncate)
-{
-    if (delta_log_.is_open() && !truncate)
-        return;
-    if (delta_log_.is_open())
-        delta_log_.close();
-    delta_log_.clear();
-    delta_log_.open(cfg_.path + ".dlt",
-                    std::ios::binary |
-                        (truncate ? std::ios::trunc : std::ios::app));
-}
-
 bool
-CheckpointStore::writeSnapshotArchiveLocked(const GroupCheckpoint &group)
+CheckpointStore::writeFullSnapshotLocked()
 {
+    // Every queued delta folds into the mirrors (and out of memory)
+    // here — on a dead disk this still bounds memory, since the
+    // mirrors then carry the cuts the archive never got.
+    foldAllLocked();
+    GroupCheckpoint group;
+    group.epoch = epoch_ + 1;
+    group.shards = mirrors_;
     // The new snapshot image and the removal of every delta key land
     // in ONE group commit: either the whole rewrite is visible to a
-    // later scan or none of it is, so — unlike the rename-then-
-    // truncate file pair — stale-epoch delta segments structurally
+    // later scan or none of it is, so stale-epoch delta segments
     // cannot survive a crash.
     std::ostringstream framed(std::ios::binary);
     saveGroupCheckpoint(group, framed);
+    bool staged = true;
     try {
         arc_->stagePut(snapKeyStr(), framed.str());
         // Only THIS store's delta keys: in a shared multi-tenant
@@ -768,43 +659,18 @@ CheckpointStore::writeSnapshotArchiveLocked(const GroupCheckpoint &group)
             if (key.rfind(prefix, 0) == 0)
                 arc_->stageRemove(key);
     } catch (const core::Error &) {
+        staged = false;
+    }
+    if (!staged || !arc_->commit()) {
+        ++stats_.write_failures;
         return false;
     }
-    return arc_->commit();
-}
-
-bool
-CheckpointStore::writeFullSnapshotLocked()
-{
-    // Every queued delta folds into the mirrors (and out of memory)
-    // here — on a dead disk this still bounds memory, since the
-    // mirrors then carry the cuts the log never got.
-    foldAllLocked();
-    GroupCheckpoint group;
-    group.epoch = epoch_ + 1;
-    group.shards = mirrors_;
-    if (arc_) {
-        if (!writeSnapshotArchiveLocked(group)) {
-            ++stats_.write_failures;
-            return false;
-        }
-        next_delta_key_ = 0;
-    } else {
-        try {
-            saveGroupCheckpointFile(group, cfg_.path);
-        } catch (const core::IoError &) {
-            ++stats_.write_failures;
-            return false;
-        }
-    }
     // The snapshot carries everything the queued deltas said, so the
-    // log restarts empty under the new epoch. A crash before the
-    // truncation is benign: replay skips the stale-epoch segments.
+    // chain restarts empty under the new epoch.
+    next_delta_key_ = 0;
     epoch_ = group.epoch;
     commits_since_full_ = 0;
     full_dirty_ = false;
-    if (!arc_)
-        openDeltaLogLocked(true);
     ++stats_.full_snapshots;
     ++stats_.group_commits;
     return true;
@@ -823,7 +689,7 @@ CheckpointStore::flush()
     std::uint64_t delta_key = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (cfg_.path.empty() && arc_ == nullptr) {
+        if (arc_ == nullptr) {
             foldAllLocked(); // mirrors still track every cut in memory
             full_dirty_ = false;
             return true;
@@ -836,31 +702,16 @@ CheckpointStore::flush()
         seg.entries = std::move(pending_);
         pending_.clear();
         gen_snap = mirror_gen_;
-        if (arc_)
-            delta_key = next_delta_key_++;
+        delta_key = next_delta_key_++;
     }
 
-    std::size_t seg_bytes = 0;
-    bool wrote = false;
-    if (arc_) {
-        // Same framed bytes the .dlt log would carry, landed as one
-        // keyed segment = one archive group commit. A failed put is
-        // rolled back inside the archive (truncate to the pre-commit
-        // end), so a torn batch never reaches a later scan; the key
-        // number is simply skipped, which replay tolerates.
-        std::ostringstream framed(std::ios::binary);
-        seg_bytes = appendDeltaSegment(framed, seg);
-        wrote = arc_->put(deltaKeyStr(delta_key), framed.str());
-    } else {
-        // The log stays open across commits (append mode seeks to the
-        // end on every write); reopen only after a failure cleared the
-        // stream.
-        if (!delta_log_.is_open() || !delta_log_)
-            openDeltaLogLocked(false);
-        seg_bytes = appendDeltaSegment(delta_log_, seg);
-        delta_log_.flush();
-        wrote = bool(delta_log_);
-    }
+    // One keyed segment = one archive group commit. A failed put is
+    // rolled back inside the archive (truncate to the pre-commit
+    // end), so a torn batch never reaches a later scan; the key
+    // number is simply skipped, which replay tolerates.
+    std::ostringstream framed(std::ios::binary);
+    const std::size_t seg_bytes = appendDeltaSegment(framed, seg);
+    const bool wrote = arc_->put(deltaKeyStr(delta_key), framed.str());
 
     std::lock_guard<std::mutex> lock(mu_);
     // Written or not, the entries stay queued for the snapshot fold:

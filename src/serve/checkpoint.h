@@ -2,35 +2,31 @@
  * @file
  * Crash-consistent checkpoints of running monitors (DESIGN.md §7).
  *
- * One layout family, in the shared CRC32+length framing
+ * Checkpoints live as keyed values of ONE EDDIEARC container
+ * (store/archive.h), in the shared CRC32+length framing
  * (core/capture_io.h), incremental and group-committed:
  *
- *  - A *group snapshot* (magic "EDDIECKP", version 2) holds an epoch
- *    number and every shard's source position plus complete
- *    core::MonitorState in one file, written atomically (tmp + flush
- *    + rename). A one-shard group is also what eddie_monitor
- *    --checkpoint writes.
- *  - A *delta log* (`<path>.dlt`, magic "EDDIEDLT") is an append-only
- *    sequence of individually-framed segments; each segment is one
+ *  - A *group snapshot* (key "ckpt/snap", magic "EDDIECKP", version
+ *    2) holds an epoch number and every shard's source position plus
+ *    complete core::MonitorState. A one-shard group is also what
+ *    eddie_monitor --checkpoint writes.
+ *  - A *delta segment* (key "ckpt/dlt/<n>", magic "EDDIEDLT") is one
  *    group commit: the epoch it chains onto plus every shard's
  *    core::MonitorStateDelta since its previous cut. All shards'
- *    deltas land in one buffered write + one flush instead of N
- *    rewrite-the-world file replacements.
+ *    deltas land in one archive commit instead of N
+ *    rewrite-the-world snapshot replacements.
  *
- * The same framed images can instead live as keyed segments of one
- * EDDIEARC container (CheckpointStoreConfig::use_archive).
+ * Frames of other layout versions (the single-shard version 1 of
+ * earlier builds) are not read: such a snapshot is a counted decode
+ * failure and a cold start.
  *
- * The single-shard version-1 frame and the per-shard "path.i" files
- * of earlier builds are not read: such a file is a counted decode
- * failure or, absent a snapshot, a cold start.
- *
- * CheckpointStore owns both files plus an in-memory full-state mirror
+ * CheckpointStore owns the keys plus an in-memory full-state mirror
  * per shard (what the supervisor restarts crashed workers from).
  * Recovery loads the snapshot, replays matching-epoch delta segments
- * onto it, and — on a truncated, bit-flipped, or chain-broken
- * segment — falls back to the state reconstructed so far, counting
- * the fallback. Resume from any delta chain is bit-identical to
- * resume from a full snapshot at the same cut (property-tested in
+ * onto it, and — on a bit-flipped, torn, or chain-broken segment —
+ * falls back to the state reconstructed so far, counting the
+ * fallback. Resume from any delta chain is bit-identical to resume
+ * from a full snapshot at the same cut (property-tested in
  * tests/serve).
  */
 
@@ -39,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -77,16 +72,6 @@ void saveGroupCheckpoint(const GroupCheckpoint &group, std::ostream &os);
  *  on corruption or any other layout version. */
 GroupCheckpoint loadGroupCheckpoint(std::istream &is);
 
-/**
- * Atomic file write: serializes to @p path + ".tmp", then renames
- * over @p path. On any failure the tmp file is removed and IoError is
- * thrown; the previous snapshot at @p path is untouched. The loader
- * throws IoError when the file cannot be opened.
- */
-void saveGroupCheckpointFile(const GroupCheckpoint &group,
-                             const std::string &path);
-GroupCheckpoint loadGroupCheckpointFile(const std::string &path);
-
 /** One shard's delta within a group commit. */
 struct DeltaEntry
 {
@@ -94,51 +79,42 @@ struct DeltaEntry
     core::MonitorStateDelta delta;
 };
 
-/** One group commit in the delta log. */
+/** One group commit of delta cuts. */
 struct DeltaSegment
 {
     /** Epoch of the full snapshot this segment chains onto; replay
-     *  skips segments from other epochs (a crash between the
-     *  snapshot rename and the log truncation leaves stale ones). */
+     *  skips segments from other epochs. */
     std::uint64_t epoch = 0;
     std::vector<DeltaEntry> entries;
 };
 
-/** Appends one framed segment (magic "EDDIEDLT") as a single
- *  buffered write; the caller flushes to commit. Returns the bytes
- *  written. */
+/** Writes one framed segment (magic "EDDIEDLT") as a single
+ *  buffered write. Returns the bytes written. */
 std::size_t appendDeltaSegment(std::ostream &os,
                                const DeltaSegment &seg);
 
-/** Reads the next segment. Returns false on clean end-of-log; throws
- *  IoError on a torn tail, FormatError on corruption. */
+/** Reads the next segment. Returns false on a clean end of stream;
+ *  throws IoError on a torn tail, FormatError on corruption. */
 bool readDeltaSegment(std::istream &is, DeltaSegment &seg);
 
 /** CheckpointStore knobs. */
 struct CheckpointStoreConfig
 {
-    /** Group snapshot file; the delta log lives at path + ".dlt".
-     *  Empty = in-memory mirrors only (no persistence). */
+    /** The store keeps its keys in one EDDIEARC container at path +
+     *  ".arc" (opened, or created, by the constructor; an unopenable
+     *  path throws IoError). Empty, with no shared_archive, means
+     *  in-memory mirrors only (no persistence). */
     std::string path;
     std::size_t num_shards = 1;
     /** Group commits between full-snapshot rewrites (chain length
      *  bound — recovery replays at most this many segments). */
     std::size_t full_every = 16;
     /**
-     * Store snapshots and delta segments as keyed segments of ONE
-     * EDDIEARC container at path + ".arc" instead of the
-     * snapshot-file + ".dlt" pair. The values are the exact framed
-     * bytes of the v2 formats above (key "ckpt/snap" holds a
-     * saveGroupCheckpoint() image, "ckpt/dlt/<n>" one
-     * appendDeltaSegment() image), so the two layouts round-trip
-     * bit-identically. A snapshot rewrite stages the new image plus
-     * the removal of every delta key in one atomic group commit —
-     * stale-epoch segments structurally cannot survive it. Recovery
-     * reads only the archive: a file pair left at `path` is not
-     * migrated, so flipping this flag on starts cold. An unopenable
-     * archive path throws IoError from the constructor.
+     * EDDIEARC is the only checkpoint layout; this member stays only
+     * so existing callers that set it keep compiling. It must be
+     * true: false throws core::Error from the constructor.
      */
-    bool use_archive = false;
+    bool use_archive = true;
     /**
      * Key namespace of this store inside the archive: keys become
      * "<key_prefix>ckpt/snap" and "<key_prefix>ckpt/dlt/<n>". This is
@@ -147,17 +123,16 @@ struct CheckpointStoreConfig
      * one shared container, and a snapshot rewrite removes only the
      * delta keys under its own prefix, so one tenant's checkpoint rot
      * or rewrite can never disturb a neighbor's chain. Empty (the
-     * default) is the layout of a store with its own container
-     * (Supervisor::run). Ignored in file mode.
+     * default) is the layout of a single-tenant store
+     * (Supervisor::run, eddie_monitor --checkpoint).
      */
     std::string key_prefix;
     /**
      * Non-owned shared container to keep this store's keys in,
-     * instead of opening a private one at path + ".arc". Implies
-     * archive mode; `path` is then unused. The caller guarantees the
-     * archive outlives the store and that flush() across stores
-     * sharing one archive is serialized (the supervisor's watchdog
-     * is the only flusher).
+     * instead of opening a private one at path + ".arc"; `path` is
+     * then unused. The caller guarantees the archive outlives the
+     * store and that flush() across stores sharing one archive is
+     * serialized (the supervisor's watchdog is the only flusher).
      */
     store::Archive *shared_archive = nullptr;
 };
@@ -187,11 +162,10 @@ struct CheckpointStoreStats
  * full states) as they cut them — cheap, in-memory, applied at once
  * to the shard's mirror so a restart always has the newest cut — and
  * the supervisor's watchdog calls flush() once per poll to land
- * everything pending in one buffered append + one flush. Every
- * full_every commits (and whenever a full submit re-anchored a
- * shard's chain) the store atomically rewrites the group snapshot
- * and truncates the log. Thread-safe; all operations share one
- * mutex, held across the (small, buffered) log append.
+ * everything pending as one delta segment in one archive commit.
+ * Every full_every commits (and whenever a full submit re-anchored a
+ * shard's chain) the store instead rewrites the group snapshot and
+ * removes its delta keys in one atomic commit. Thread-safe.
  */
 class CheckpointStore
 {
@@ -199,11 +173,10 @@ class CheckpointStore
     explicit CheckpointStore(const CheckpointStoreConfig &cfg);
 
     /**
-     * Best-effort recovery from disk: loads the group snapshot (from
-     * the archive in archive mode, else from the file at `path`) and
-     * replays matching-epoch delta segments onto it. A torn, corrupt,
-     * or chain-broken segment stops the replay at the last good
-     * state (fallbacks counted). Returns per-shard recovery flags;
+     * Best-effort recovery from the archive: loads the group snapshot
+     * and replays matching-epoch delta segments onto it. A corrupt or
+     * chain-broken segment stops the replay at the last good state
+     * (fallbacks counted). Returns per-shard recovery flags;
      * recovered states are read back via mirror().
      */
     std::vector<bool> recover();
@@ -225,9 +198,9 @@ class CheckpointStore
      *  mirror plus a replay of the shard's queued deltas. */
     CheckpointData mirror(std::size_t shard);
 
-    /** Group commit: lands all pending deltas in one buffered append
-     *  + one flush, rewriting the full snapshot instead when due.
-     *  Returns false when an I/O failure was swallowed. */
+    /** Group commit: lands all pending deltas as one delta segment,
+     *  rewriting the full snapshot instead when due. Returns false
+     *  when an I/O failure was swallowed. */
     bool flush();
 
     /** Forces the next flush to rewrite the full snapshot (hot model
@@ -238,15 +211,11 @@ class CheckpointStore
 
   private:
     bool writeFullSnapshotLocked();
-    void openDeltaLogLocked(bool truncate);
     /** Archive keys under this store's namespace prefix. */
     std::string snapKeyStr() const;
     std::string deltaPrefixStr() const;
     std::string deltaKeyStr(std::uint64_t n) const;
     void foldAllLocked();
-    /** Archive-mode halves of recover() and the snapshot rewrite. */
-    void recoverFromArchiveLocked(std::vector<bool> &recovered);
-    bool writeSnapshotArchiveLocked(const GroupCheckpoint &group);
     /** Applies one decoded delta segment transactionally onto the
      *  mirrors; false = damaged (bad shard or broken chain). */
     bool applySegmentLocked(const DeltaSegment &seg);
@@ -266,21 +235,20 @@ class CheckpointStore
     /** Bumped by submitFull; lets an in-flight flush detect that a
      *  shard's queued deltas were superseded mid-write. */
     std::vector<std::uint64_t> mirror_gen_;
-    /** Deltas not yet written to the log (next group commit). */
+    /** Deltas not yet written to the archive (next group commit). */
     std::vector<DeltaEntry> pending_;
-    /** Deltas written to the log but not yet folded into the
+    /** Deltas written to the archive but not yet folded into the
      *  mirrors; consumed by the next full-snapshot fold. */
     std::vector<DeltaEntry> staged_;
     std::uint64_t epoch_ = 0;
     std::size_t commits_since_full_ = 0;
     bool full_dirty_ = true; ///< next flush must rewrite the snapshot
-    std::ofstream delta_log_;
-    /** Container when cfg_.use_archive (at cfg_.path + ".arc"); the
-     *  archive's own lock nests inside io_mu_/mu_ and it never calls
-     *  back, so the order is acyclic. */
+    /** Private container at cfg_.path + ".arc"; the archive's own
+     *  lock nests inside io_mu_/mu_ and it never calls back, so the
+     *  order is acyclic. */
     std::unique_ptr<store::Archive> archive_;
     /** The archive actually used: archive_.get(), or the non-owned
-     *  cfg_.shared_archive; nullptr = file mode. */
+     *  cfg_.shared_archive; nullptr = in-memory mirrors only. */
     store::Archive *arc_ = nullptr;
     /** Key number of the next delta segment ("ckpt/dlt/<n>"); reset
      *  by each snapshot rewrite (which removes the delta keys). */

@@ -83,11 +83,11 @@ struct FleetScheduler::Session
     std::atomic<bool> in_step{false};
     std::atomic<bool> crashed{false};
     std::atomic<bool> source_dead{false};
-    /** Completed-step counter — the watchdog's progress signal. A
-     *  session is hung only when in_step holds with this frozen past
-     *  the deadline; merely waiting for worker time never advances
-     *  in_step, so multiplexing delay cannot look like a hang. */
-    std::atomic<std::uint64_t> progress_seq{0};
+    /** Completed steps across restarts: serveStats().processed, and
+     *  the watchdog's progress signal. A session is hung only when
+     *  in_step holds with this frozen past the deadline; merely
+     *  waiting for worker time never advances in_step, so
+     *  multiplexing delay cannot look like a hang. */
     std::atomic<std::uint64_t> processed{0};
     /** Live longest-quarantine-run for the storm check. */
     std::atomic<std::uint64_t> longest_outage{0};
@@ -327,7 +327,7 @@ FleetScheduler::handleFailure(Session &s, double now_ms)
         s.source_dead.store(false);
         s.in_step.store(false);
         s.hang_signaled = false;
-        s.wd_seen_seq = s.progress_seq.load();
+        s.wd_seen_seq = s.processed.load();
         s.wd_seen_ms = nowMs();
         s.since_ckpt = 0;
         s.monitor = std::make_unique<core::Monitor>(*s.model,
@@ -508,11 +508,15 @@ FleetScheduler::dispatch(Session &s, std::vector<core::Sts> &batch,
             }
             work_ms += nowMs() - t_step;
             s.in_step.store(false);
-            s.progress_seq.fetch_add(1);
             s.processed.fetch_add(1);
             ++executed;
-            s.longest_outage.store(
-                s.monitor->degradedStats().longest_outage);
+            // Only the dispatching worker writes it, and it changes on
+            // few windows: skip the store (a barrier) when unchanged.
+            const std::uint64_t outage =
+                s.monitor->degradedStats().longest_outage;
+            if (outage !=
+                s.longest_outage.load(std::memory_order_relaxed))
+                s.longest_outage.store(outage);
             if (cfg_.checkpoint_interval != 0 &&
                 ++s.since_ckpt >= cfg_.checkpoint_interval) {
                 s.since_ckpt = 0;
@@ -738,7 +742,7 @@ FleetScheduler::run()
             // holds in_step past the deadline with a frozen sequence
             // is hung — break it with cancel and let the worker
             // relinquish as Failed.
-            const std::uint64_t seq = s.progress_seq.load();
+            const std::uint64_t seq = s.processed.load();
             if (seq != s.wd_seen_seq || !s.in_step.load()) {
                 s.wd_seen_seq = seq;
                 s.wd_seen_ms = now;

@@ -90,9 +90,10 @@ struct Supervisor::Shard
     std::thread worker;
     /** Teardown flag; honored by both loops and by step hooks. */
     std::atomic<bool> cancel{false};
-    /** Completed-step counter — the watchdog's progress signal (a
-     *  hang is in_step held with this frozen past the deadline). */
-    std::atomic<std::uint64_t> progress_seq{0};
+    /** Completed steps across restarts: stats().processed, and the
+     *  watchdog's progress signal (a hang is in_step held with this
+     *  frozen past the deadline). */
+    std::atomic<std::uint64_t> processed{0};
     std::atomic<bool> in_step{false};
     // Watchdog-only hang tracking (single-threaded access).
     std::uint64_t wd_seen_seq = 0;
@@ -100,19 +101,23 @@ struct Supervisor::Shard
     /** Feeder saw the delivery path give up past its retry budget. */
     std::atomic<bool> source_dead{false};
     std::atomic<int> status{kRunning};
-    std::atomic<std::uint64_t> processed{0};
 };
 
 Supervisor::Supervisor(std::shared_ptr<const core::TrainedModel> model,
                        ServeConfig cfg)
-    : model_(std::move(model)), cfg_(std::move(cfg))
+    : Supervisor(std::move(cfg))
 {
+    model_ = std::move(model);
     if (!model_)
         throw core::Error("supervisor: null model");
 }
 
 Supervisor::Supervisor(ServeConfig cfg) : cfg_(std::move(cfg))
 {
+    if (!cfg_.checkpoint_archive)
+        throw core::Error("supervisor: checkpoint_archive = false is "
+                          "not supported; EDDIEARC is the only "
+                          "checkpoint layout");
 }
 
 Supervisor::~Supervisor() = default;
@@ -267,10 +272,14 @@ Supervisor::workerLoop(Shard &shard)
                 return;
             }
             shard.in_step.store(false);
-            shard.progress_seq.fetch_add(1);
             shard.processed.fetch_add(1);
-            shard.longest_outage.store(
-                shard.monitor->degradedStats().longest_outage);
+            // Only this worker writes it, and it changes on few
+            // windows: skip the store (a barrier) when unchanged.
+            const std::uint64_t outage =
+                shard.monitor->degradedStats().longest_outage;
+            if (outage !=
+                shard.longest_outage.load(std::memory_order_relaxed))
+                shard.longest_outage.store(outage);
             if (cfg_.checkpoint_interval != 0 &&
                 ++since_ckpt >= cfg_.checkpoint_interval) {
                 since_ckpt = 0;
@@ -297,7 +306,7 @@ Supervisor::startShard(Shard &shard, bool restoring)
     shard.cancel.store(false);
     shard.in_step.store(false);
     shard.source_dead.store(false);
-    shard.wd_seen_seq = shard.progress_seq.load();
+    shard.wd_seen_seq = shard.processed.load();
     shard.wd_seen_ms = nowMs();
     shard.status.store(kRunning);
     if (restoring)
@@ -408,10 +417,8 @@ Supervisor::maybeReloadModel(double now_ms)
         return;
     std::shared_ptr<const core::TrainedModel> fresh;
     try {
-        // Format-sniffing loader: an EDDIEARC model reloads as mmap +
-        // sector CRC check + binary decode (the hot-reload fast path
-        // benched in perf_pipeline's artifact_store section); a text
-        // model takes the legacy parse.
+        // mmap + sector CRC check + binary decode (the reload path
+        // benched in perf_pipeline's artifact_store section).
         fresh = std::make_shared<const core::TrainedModel>(
             core::loadModelFile(cfg_.model_path));
     } catch (const std::exception &) {
@@ -419,10 +426,9 @@ Supervisor::maybeReloadModel(double now_ms)
         // model; the next poll re-checks the CRC.
         return;
     }
-    // A file truncated before its #crc32 trailer still parses (the
-    // trailer is optional for legacy models), so require the bytes to
-    // be stable across the load: if the CRC moved, a write is in
-    // flight — skip, and the next poll sees the finished file.
+    // Require the bytes to be stable across the load: if the CRC
+    // moved, a write is in flight — skip, and the next poll sees the
+    // finished file.
     const auto crc_after = common::crc32File(cfg_.model_path);
     if (!crc_after || *crc_after != *crc)
         return;
@@ -492,17 +498,17 @@ Supervisor::run(const std::vector<SampleSource *> &sources)
         registry_ = nullptr;
         run_registry_ = std::move(registry);
     }
-    return runFleet(*run_registry_, true).sessions;
+    return runFleet(*run_registry_, false).sessions;
 }
 
 FleetResult
 Supervisor::runFleet(TenantRegistry &registry)
 {
-    return runFleet(registry, false);
+    return runFleet(registry, true);
 }
 
 FleetResult
-Supervisor::runFleet(TenantRegistry &registry, bool single_store)
+Supervisor::runFleet(TenantRegistry &registry, bool tenant_keys)
 {
     if (!cfg_.model_path.empty() && cfg_.scheduler.workers > 0)
         throw core::Error("supervisor: model_path hot reload needs the "
@@ -518,18 +524,15 @@ Supervisor::runFleet(TenantRegistry &registry, bool single_store)
     const double t0 = nowMs();
 
     // One checkpoint store per tenant — THE per-tenant fault domain.
-    // Archive mode: every store keys into one shared container under
-    // "tenant/<id>/" (only the watchdog thread flushes, so the shared
-    // stage/commit batches never interleave). File mode: a private
-    // snapshot+log pair per tenant at path + "." + id. A single store
-    // (run()) owns checkpoint_path itself, in either mode.
-    fleet_archive_.reset();
+    // Every store keys into the one container under "tenant/<id>/"
+    // (run(): no prefix); only the watchdog thread flushes, so the
+    // shared stage/commit batches never interleave.
     tenant_stores_.clear();
-    if (!single_store && cfg_.checkpoint_archive &&
-        !cfg_.checkpoint_path.empty()) {
+    ckpt_archive_.reset();
+    if (!cfg_.checkpoint_path.empty()) {
         store::ArchiveConfig arc;
         arc.path = cfg_.checkpoint_path + ".arc";
-        fleet_archive_ = std::make_unique<store::Archive>(arc);
+        ckpt_archive_ = std::make_unique<store::Archive>(arc);
     }
     std::vector<std::size_t> tenant_sessions(tenants.size(), 0);
     for (const auto &session : sessions)
@@ -539,15 +542,9 @@ Supervisor::runFleet(TenantRegistry &registry, bool single_store)
         sc.num_shards =
             std::max<std::size_t>(tenant_sessions[tenant->index()], 1);
         sc.full_every = cfg_.full_snapshot_every;
-        if (single_store) {
-            sc.path = cfg_.checkpoint_path;
-            sc.use_archive = cfg_.checkpoint_archive;
-        } else if (fleet_archive_) {
-            sc.shared_archive = fleet_archive_.get();
+        sc.shared_archive = ckpt_archive_.get();
+        if (tenant_keys)
             sc.key_prefix = "tenant/" + tenant->id() + "/";
-        } else if (!cfg_.checkpoint_path.empty()) {
-            sc.path = cfg_.checkpoint_path + "." + tenant->id();
-        }
         tenant_stores_.push_back(
             std::make_unique<CheckpointStore>(sc));
     }
@@ -740,7 +737,7 @@ Supervisor::runFleet(TenantRegistry &registry, bool single_store)
             // Progress-sequence liveness: refresh while the shard
             // advances or rests between steps; hung = in_step held
             // with a frozen sequence past the deadline.
-            const std::uint64_t seq = shard.progress_seq.load();
+            const std::uint64_t seq = shard.processed.load();
             bool hung = false;
             if (seq != shard.wd_seen_seq || !shard.in_step.load()) {
                 shard.wd_seen_seq = seq;

@@ -85,20 +85,22 @@ struct ServeConfig
      *  periodic checkpoints; the in-memory restart mirror is still
      *  kept). */
     std::size_t checkpoint_interval = 64;
-    /** Group-snapshot file; the delta log lives at path + ".dlt".
-     *  Empty = in-memory mirrors only (see serve/checkpoint.h). */
+    /** Checkpoints live in one EDDIEARC container at checkpoint_path
+     *  + ".arc", which the supervisor owns. Empty = in-memory mirrors
+     *  only (see serve/checkpoint.h). */
     std::string checkpoint_path;
-    /** Resume from checkpoint_path when the snapshot exists. Only
-     *  group snapshots are read (serve/checkpoint.h); a file in an
-     *  older layout is a counted decode failure and a cold start. */
+    /** Resume from the container when it holds a snapshot. Only v2
+     *  group snapshots are read (serve/checkpoint.h); an older frame
+     *  is a counted decode failure and a cold start. */
     bool resume = false;
     /** Group commits between full-snapshot rewrites (bounds the
      *  delta chain recovery has to replay). */
     std::size_t full_snapshot_every = 16;
-    /** Keep snapshots and delta segments in one EDDIEARC container at
-     *  checkpoint_path + ".arc" instead of the file pair. Resume then
-     *  reads only the archive (see CheckpointStoreConfig::use_archive). */
-    bool checkpoint_archive = false;
+    /** EDDIEARC is the only checkpoint layout; this member stays only
+     *  so existing callers that set it keep compiling. It must be
+     *  true: false throws core::Error from the Supervisor
+     *  constructors. */
+    bool checkpoint_archive = true;
     /** Windows drained per queue-lock acquisition by each worker. */
     std::size_t queue_batch = 16;
     /** Runtime selection: scheduler.workers > 0 multiplexes all
@@ -198,8 +200,8 @@ class Supervisor
      * runFleet() over one tenant with one session per source: its
      * breaker classes are off, its restart budget (shared by all
      * sessions) and queue bound come from the ServeConfig, and its
-     * single checkpoint store lives at checkpoint_path itself (not
-     * at a per-tenant name). Sources must outlive the call and be
+     * checkpoint keys carry no tenant prefix ("ckpt/snap", not
+     * "tenant/<id>/ckpt/snap"). Sources must outlive the call and be
      * seekable for restart/resume to work. Not reentrant.
      */
     std::vector<ShardResult>
@@ -208,9 +210,9 @@ class Supervisor
     /**
      * Multi-tenant fleet run (DESIGN.md §9): one shard per admitted
      * session in @p registry, each checkpointing into its tenant's
-     * own store — a per-tenant key namespace of one shared EDDIEARC
-     * container (checkpoint_archive) or a per-tenant file pair at
-     * checkpoint_path + "." + id. Per-tenant fault domains:
+     * own store — the key namespace "tenant/<id>/" of the one
+     * EDDIEARC container at checkpoint_path + ".arc". Per-tenant
+     * fault domains:
      *
      *  - the RestartBudget is the tenant's (all its sessions draw
      *    from one pool; exhaustion escalates the failing session);
@@ -255,9 +257,9 @@ class Supervisor
   private:
     struct Shard;
 
-    /** runFleet() body; @p single_store puts the one tenant's store at
-     *  checkpoint_path itself (the run() layout). */
-    FleetResult runFleet(TenantRegistry &registry, bool single_store);
+    /** runFleet() body; @p tenant_keys prefixes each store's keys
+     *  with "tenant/<id>/" (run() passes false). */
+    FleetResult runFleet(TenantRegistry &registry, bool tenant_keys);
     void startShard(Shard &shard, bool restoring);
     void stopShardThreads(Shard &shard);
     void feederLoop(Shard &shard);
@@ -287,11 +289,13 @@ class Supervisor
     std::vector<std::unique_ptr<Shard>> shards_;
     /** One group-committed store per tenant (index =
      *  Tenant::index()); also the sessions' restart mirrors. All are
-     *  keyed into fleet_archive_ when checkpoint_archive. Only the
-     *  watchdog thread flushes, so the shared container never sees
-     *  interleaved stage/commit batches. */
+     *  keyed into ckpt_archive_. Only the watchdog thread flushes, so
+     *  the shared container never sees interleaved stage/commit
+     *  batches. */
     std::vector<std::unique_ptr<CheckpointStore>> tenant_stores_;
-    std::unique_ptr<store::Archive> fleet_archive_;
+    /** The checkpoint container (checkpoint_path + ".arc"); null when
+     *  checkpoint_path is empty. */
+    std::unique_ptr<store::Archive> ckpt_archive_;
     /** Scheduler-path runtime of the current/last runFleet (kept for
      *  stats()); guarded by mu_. */
     std::unique_ptr<FleetScheduler> fleet_sched_;

@@ -1,14 +1,16 @@
 /**
  * @file
  * Randomized corruption round-trips over every persistence format:
- * truncate or bit-flip a serialized model, capture, STS stream, or
- * cache spill file at random offsets and prove the loaders answer
- * with a typed error (or, for the cache, a counted miss plus
- * recompute) — never a crash, hang, or silently wrong data.
+ * truncate or bit-flip a model archive or payload, capture, STS
+ * stream, or cache spill file at random offsets and prove the
+ * loaders answer with a typed error (or, for the cache, a counted
+ * miss plus recompute) — never a crash, hang, or silently wrong
+ * data.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 
@@ -104,77 +106,49 @@ truncate(const std::string &bytes, std::mt19937_64 &rng)
 
 TEST(CorruptionTest, ModelBitFlipsAreTypedErrors)
 {
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    const std::string good = os.str();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "eddie_model_flip")
+            .string();
+    saveModelFile(sampleModel(), path);
+    std::string good;
+    {
+        std::ifstream is(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::string want = encodeModelBinary(sampleModel());
 
     std::mt19937_64 rng(101);
     for (int trial = 0; trial < 200; ++trial) {
-        std::istringstream is(flipBit(good, rng));
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os << flipBit(good, rng);
+        }
         try {
-            // The CRC trailer covers every body byte, so a flipped
-            // model may never load silently.
-            (void)loadModel(is);
-            FAIL() << "bit-flipped model loaded, trial " << trial;
+            // Sector and header CRCs cover every byte that carries
+            // data; a flip in zero padding may load, but only as the
+            // very same model.
+            const TrainedModel m = loadModelFile(path);
+            EXPECT_EQ(encodeModelBinary(m), want)
+                << "bit-flipped model loaded as a different model, "
+                << "trial " << trial;
         } catch (const Error &) {
             // typed: IoError or FormatError
         }
     }
+    std::filesystem::remove(path);
 }
 
 TEST(CorruptionTest, ModelTruncationsNeverCrash)
 {
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    const std::string good = os.str();
-
-    std::mt19937_64 rng(102);
-    for (int trial = 0; trial < 200; ++trial) {
-        std::istringstream is(truncate(good, rng));
-        try {
-            // A cut that removes the trailer may still leave a
-            // complete, valid body; anything else must be typed.
-            (void)loadModel(is);
-        } catch (const Error &) {
-        }
-    }
-}
-
-TEST(CorruptionTest, ModelWithoutTrailerStillLoads)
-{
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    std::string text = os.str();
-    const auto at = text.rfind("#crc32");
-    ASSERT_NE(at, std::string::npos);
-    text.resize(at); // legacy file: body only
-
-    std::istringstream is(text);
-    const auto m = loadModel(is);
-    EXPECT_EQ(m.regions.size(), 2u);
-    EXPECT_EQ(m.regions[0].ref, sampleModel().regions[0].ref);
-}
-
-TEST(CorruptionTest, ModelErrorsNameTheLine)
-{
-    std::ostringstream os;
-    saveModel(sampleModel(), os);
-    std::string text = os.str();
-    text.resize(text.rfind("#crc32"));
-    // Break the trained flag on the first region line (line 3).
-    const auto at = text.find("L0 1");
-    ASSERT_NE(at, std::string::npos);
-    text[at + 3] = '9';
-
-    std::istringstream is(text);
-    try {
-        (void)loadModel(is);
-        FAIL() << "bad trained flag accepted";
-    } catch (const FormatError &e) {
-        EXPECT_NE(std::string(e.what()).find("line 3"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::string good = encodeModelBinary(sampleModel());
+    ASSERT_NO_THROW((void)decodeModelBinary(good.data(), good.size()));
+    // The payload has no optional tail: every proper prefix must be
+    // rejected as a format error.
+    for (std::size_t len = 0; len < good.size(); ++len)
+        EXPECT_THROW((void)decodeModelBinary(good.data(), len),
+                     FormatError)
+            << "prefix of " << len << " bytes";
 }
 
 TEST(CorruptionTest, CaptureCorruptionIsTypedError)

@@ -1,7 +1,10 @@
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/errors.h"
 #include "core/model.h"
 
 namespace
@@ -34,9 +37,10 @@ sampleModel()
 TEST(ModelTest, SaveLoadRoundTrip)
 {
     const auto m = sampleModel();
-    std::stringstream ss;
-    saveModel(m, ss);
-    const auto loaded = loadModel(ss);
+    const std::string path = testing::TempDir() + "model_test_roundtrip";
+    saveModelFile(m, path);
+    const auto loaded = loadModelFile(path);
+    std::remove(path.c_str());
 
     EXPECT_DOUBLE_EQ(loaded.alpha, m.alpha);
     EXPECT_DOUBLE_EQ(loaded.sentinel, m.sentinel);
@@ -53,8 +57,10 @@ TEST(ModelTest, SaveLoadRoundTrip)
 
 TEST(ModelTest, LoadRejectsGarbage)
 {
-    std::stringstream ss("not-a-model 7");
-    EXPECT_THROW(loadModel(ss), std::runtime_error);
+    const std::string path = testing::TempDir() + "model_test_garbage";
+    std::ofstream(path) << "not-a-model 7";
+    EXPECT_THROW(loadModelFile(path), FormatError);
+    std::remove(path.c_str());
 }
 
 TEST(ModelTest, WithGroupSizeOverridesTrainedOnly)

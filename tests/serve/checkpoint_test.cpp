@@ -7,10 +7,11 @@
  * a quarantine outage — must finish with bit-identical verdicts.
  */
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -152,22 +153,32 @@ TEST(CheckpointRoundTrip, CorruptionFailsTyped)
     EXPECT_THROW(loadCheckpoint(empty), core::IoError);
 }
 
+/** A store's only file is its container: a full-snapshot commit
+ *  leaves path + ".arc" and nothing beside it (no staging tmp, no
+ *  snapshot file, no delta log), and reads back byte for byte. */
 TEST(CheckpointRoundTrip, AtomicFileWriteLeavesNoTmpBehind)
 {
     std::mt19937_64 rng(13);
     const CheckpointData ckpt = randomCheckpoint(rng);
-    const std::string path = testing::TempDir() + "ckpt_atomic_test";
-    saveGroupCheckpointFile(oneShard(ckpt), path);
-    // The tmp staging file must be gone after the rename.
-    std::ifstream tmp(path + ".tmp");
-    EXPECT_FALSE(tmp.good());
-    const GroupCheckpoint loaded = loadGroupCheckpointFile(path);
-    ASSERT_EQ(loaded.shards.size(), 1u);
-    EXPECT_EQ(bytes(loaded.shards.front()), bytes(ckpt));
-    std::remove(path.c_str());
+    const std::string dir = testing::TempDir() + "ckpt_atomic_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CheckpointStoreConfig cfg;
+    cfg.path = dir + "/ck";
+    {
+        CheckpointStore store(cfg);
+        store.submitFull(0, ckpt);
+        ASSERT_TRUE(store.flush());
+    }
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"ck.arc"});
 
-    EXPECT_THROW(loadGroupCheckpointFile(path + ".does-not-exist"),
-                 core::IoError);
+    CheckpointStore fresh(cfg);
+    ASSERT_EQ(fresh.recover(), std::vector<bool>{true});
+    EXPECT_EQ(bytes(fresh.mirror(0)), bytes(ckpt));
+    std::filesystem::remove_all(dir);
 }
 
 /** The tentpole property: resume-from-checkpoint == uninterrupted,

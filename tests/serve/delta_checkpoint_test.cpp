@@ -1,17 +1,19 @@
 /**
  * @file
  * Tests of the v2 group-committed checkpoint pipeline
- * (serve::CheckpointStore): group-snapshot round-trips, other layout
- * versions rejected as counted cold starts, disk recovery reproducing the
- * live mirror byte-for-byte at every cut of a full-snapshot + delta
- * chain, and the corruption fallbacks — a truncated delta tail or a
- * bit-flipped segment must recover to the last good prefix of the
- * chain with the fallback counted.
+ * (serve::CheckpointStore over its EDDIEARC container): group-snapshot
+ * round-trips, other layout versions rejected as counted cold starts,
+ * disk recovery reproducing the live mirror byte-for-byte at every
+ * cut of a full-snapshot + delta chain, and the corruption fallbacks —
+ * a torn container tail or a bit-flipped segment must recover to the
+ * last good prefix of the chain with the fallback counted.
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "core/errors.h"
 #include "serve/checkpoint.h"
 #include "serve_test_util.h"
+#include "store/archive.h"
 
 namespace
 {
@@ -54,8 +57,42 @@ stateAt(const core::Monitor &m)
 void
 removeStoreFiles(const std::string &path)
 {
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove((path + ".arc").c_str());
+}
+
+store::ArchiveConfig
+containerOf(const std::string &path)
+{
+    store::ArchiveConfig acfg;
+    acfg.path = path + ".arc";
+    return acfg;
+}
+
+/** Flips one bit in the middle of @p key's live value inside the
+ *  store's container (the newest copy of its bytes in the file). */
+void
+flipValueBit(const std::string &path, const std::string &key)
+{
+    std::optional<std::string> value;
+    {
+        store::Archive arc(containerOf(path));
+        value = arc.getCopy(key);
+    }
+    ASSERT_TRUE(value.has_value()) << key;
+    std::string file;
+    {
+        std::ifstream is(path + ".arc", std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(is),
+                    std::istreambuf_iterator<char>());
+    }
+    const std::size_t at = file.rfind(*value);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t off = at + value->size() / 2;
+    std::fstream f(path + ".arc",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(std::streamoff(off));
+    f.put(char(file[off] ^ 0x10));
 }
 
 TEST(GroupCheckpointTest, RoundTripPreservesEveryShard)
@@ -91,12 +128,18 @@ TEST(GroupCheckpointTest, RoundTripPreservesEveryShard)
 TEST(GroupCheckpointTest, OtherLayoutVersionIsACountedColdStart)
 {
     const std::string path = testing::TempDir() + "delta_ckpt_v1";
+    removeStoreFiles(path);
+    std::ostringstream frame;
+    const char magic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
+    core::writeFramed(frame, magic, 1, std::string(64, '\0'));
     {
-        const char magic[8] = {'E', 'D', 'D', 'I', 'E', 'C', 'K', 'P'};
-        std::ofstream os(path, std::ios::binary);
-        core::writeFramed(os, magic, 1, std::string(64, '\0'));
+        std::istringstream is(frame.str());
+        EXPECT_THROW(loadGroupCheckpoint(is), core::FormatError);
     }
-    EXPECT_THROW(loadGroupCheckpointFile(path), core::FormatError);
+    {
+        store::Archive arc(containerOf(path));
+        ASSERT_TRUE(arc.put("ckpt/snap", frame.str()));
+    }
 
     CheckpointStoreConfig cfg;
     cfg.path = path;
@@ -107,6 +150,17 @@ TEST(GroupCheckpointTest, OtherLayoutVersionIsACountedColdStart)
     EXPECT_FALSE(recovered[0]);
     EXPECT_EQ(store.stats().snapshot_decode_failures, 1u);
     removeStoreFiles(path);
+}
+
+/** EDDIEARC is the only layout: a config asking for the retired
+ *  snapshot-file + delta-log pair is refused at construction. */
+TEST(CheckpointStoreTest, FileLayoutIsRefused)
+{
+    CheckpointStoreConfig cfg;
+    cfg.path = testing::TempDir() + "delta_ckpt_file_layout";
+    cfg.use_archive = false;
+    EXPECT_THROW(CheckpointStore{cfg}, core::Error);
+    EXPECT_FALSE(std::filesystem::exists(cfg.path + ".arc"));
 }
 
 TEST(CheckpointStoreTest, RecoverMatchesLiveMirrorAtEveryCut)
@@ -172,7 +226,7 @@ TEST(CheckpointStoreTest, CutImmediatelyAfterFullSnapshotRecovers)
         m.step(stream[i]);
     store.submitFull(0, stateAt(m));
     m.resetDeltaBaseline(); // next delta chains off this snapshot
-    ASSERT_TRUE(store.flush()); // full snapshot, truncates the log
+    ASSERT_TRUE(store.flush()); // full snapshot, drops the deltas
 
     // A one-step delta chained directly onto the fresh snapshot.
     m.step(stream[40]);
@@ -205,7 +259,7 @@ buildChain(const std::string &path)
     ChainFixture fx;
     fx.cfg.path = path;
     fx.cfg.num_shards = 1;
-    fx.cfg.full_every = 1u << 20; // keep all cuts in the delta log
+    fx.cfg.full_every = 1u << 20; // keep all cuts as delta segments
     CheckpointStore store(fx.cfg);
 
     core::Monitor m(model, core::MonitorConfig());
@@ -233,19 +287,23 @@ TEST(CheckpointStoreTest, TruncatedDeltaTailFallsBackToLastGoodCut)
     const std::string path = testing::TempDir() + "delta_ckpt_trunc";
     const auto fx = buildChain(path);
 
-    // Tear the final segment: drop one byte off the log's tail, as a
-    // crash mid-append would.
-    const std::string log = path + ".dlt";
-    const auto size = std::filesystem::file_size(log);
+    // Tear the final commit: drop one byte off the container's tail,
+    // as a crash mid-append would. The archive drops the torn batch
+    // at open, so its delta key is simply absent.
+    const std::string arc_path = path + ".arc";
+    const auto size = std::filesystem::file_size(arc_path);
     ASSERT_GT(size, 1u);
-    std::filesystem::resize_file(log, size - 1);
+    std::filesystem::resize_file(arc_path, size - 1);
 
-    CheckpointStore fresh(fx.cfg);
+    store::Archive arc(containerOf(path));
+    EXPECT_EQ(arc.stats().torn_tail_dropped, 1u);
+    CheckpointStoreConfig cfg = fx.cfg;
+    cfg.shared_archive = &arc;
+    CheckpointStore fresh(cfg);
     ASSERT_TRUE(fresh.recover()[0]);
     // Cuts at 40, 60, 80 survive; the torn cut at 100 is dropped.
     EXPECT_EQ(bytes(fresh.mirror(0)), fx.cut_bytes[2]);
-    EXPECT_EQ(fresh.stats().delta_fallbacks, 1u);
-    EXPECT_GE(fresh.stats().delta_segments_dropped, 1u);
+    EXPECT_EQ(fresh.stats().delta_fallbacks, 0u);
     removeStoreFiles(path);
 }
 
@@ -254,20 +312,10 @@ TEST(CheckpointStoreTest, BitFlippedSegmentFallsBackToSnapshot)
     const std::string path = testing::TempDir() + "delta_ckpt_flip";
     const auto fx = buildChain(path);
 
-    // Flip one bit inside the first segment's frame; its CRC (or
-    // framing) check must reject it and recovery must stop the replay
-    // at the snapshot rather than trust anything after the damage.
-    const std::string log = path + ".dlt";
-    {
-        std::fstream f(log, std::ios::binary | std::ios::in |
-                                std::ios::out);
-        ASSERT_TRUE(f.is_open());
-        f.seekg(24);
-        char c = 0;
-        f.get(c);
-        f.seekp(24);
-        f.put(char(c ^ 0x10));
-    }
+    // Flip one bit inside the first segment's value; its sector CRC
+    // must reject it and recovery must stop the replay at the
+    // snapshot rather than trust anything after the damage.
+    flipValueBit(path, "ckpt/dlt/00000000");
 
     CheckpointStore fresh(fx.cfg);
     ASSERT_TRUE(fresh.recover()[0]);

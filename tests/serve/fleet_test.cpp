@@ -156,7 +156,6 @@ TEST(Fleet, SharedArchiveNamespacesResumeBitIdentical)
     FleetFixture fx(2);
     ServeConfig cfg = fastServeConfig();
     cfg.checkpoint_path = base;
-    cfg.checkpoint_archive = true;
     {
         // First run: both tenants checkpoint into one container
         // under their own key prefixes, stopped mid-stream by a
@@ -213,12 +212,22 @@ TEST(Fleet, LegacyRunRefusedOnFleetSupervisor)
     EXPECT_THROW(sup.run({}), core::Error);
 }
 
+/** EDDIEARC is the only checkpoint layout: a config asking for the
+ *  retired file layout is refused at construction. */
+TEST(Fleet, FileCheckpointLayoutIsRefused)
+{
+    ServeConfig cfg = fastServeConfig();
+    cfg.checkpoint_archive = false;
+    EXPECT_THROW(Supervisor{cfg}, core::Error);
+    FleetFixture fx(1);
+    EXPECT_THROW(Supervisor(fx.model, cfg), core::Error);
+}
+
 TEST(Chaos, SmokeSeedsHoldEveryInvariant)
 {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         ChaosConfig cfg;
         cfg.seed = seed;
-        cfg.archive = seed % 2 == 0;
         cfg.dir = testing::TempDir() + "chaos_smoke_s" +
                   std::to_string(seed);
         std::filesystem::create_directories(cfg.dir);

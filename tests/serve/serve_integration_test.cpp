@@ -171,14 +171,13 @@ TEST(Supervisor, RestartBudgetExhaustionEscalates)
 }
 
 /** In-process "kill": the first runtime escalates with its checkpoint
- *  on disk, a second runtime resumes from that file and must finish
+ *  on disk, a second runtime resumes from that container and must finish
  *  with the uninterrupted run's exact verdict sequence. */
 TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_kill_resume";
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove((path + ".arc").c_str());
 
     ServeConfig cfg = f.config();
     cfg.checkpoint_path = path;
@@ -209,8 +208,7 @@ TEST(Supervisor, KillThenResumeFromDiskIsBitIdentical)
     EXPECT_EQ(sup.stats().checkpoint_restores, 1u);
     // The resumed run only processed the tail.
     EXPECT_LT(sup.stats().processed, f.stream->size());
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove((path + ".arc").c_str());
 }
 
 /** Graceful stop mid-stream writes a final checkpoint; resuming from
@@ -219,8 +217,7 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_stop_resume";
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove((path + ".arc").c_str());
 
     ServeConfig cfg = f.config();
     cfg.checkpoint_path = path;
@@ -251,8 +248,7 @@ TEST(Supervisor, GracefulStopThenResumeIsBitIdentical)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(sameRecords(results[0].records, f.baseline_records));
     EXPECT_TRUE(sameReports(results[0].reports, f.baseline_reports));
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
+    std::remove((path + ".arc").c_str());
 }
 
 /** The flaky-source acceptance property: stalls and transient errors
@@ -418,10 +414,7 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
 {
     const Fixture &f = fixture();
     const std::string path = testing::TempDir() + "serve_hot_model";
-    {
-        std::ofstream os(path);
-        core::saveModel(*f.model, os);
-    }
+    core::saveModelFile(*f.model, path);
 
     ServeConfig cfg = f.config();
     cfg.model_path = path;
@@ -436,17 +429,11 @@ TEST(Supervisor, HotModelReloadSwapsWithoutVerdictLoss)
             // Same distributions, different alpha: different bytes
             // (new CRC) but near-identical decisions; the assertions
             // below only rely on continuity, not equality. The
-            // replacement must be atomic (write + rename) — that is
-            // the operator contract, and a plain in-place rewrite can
-            // race the CRC poll into seeing (and counting) a torn
-            // intermediate file as its own reload.
-            {
-                std::ofstream os(path + ".new");
-                core::saveModel(withAlpha(*f.model, 2e-6), os);
-            }
-            ASSERT_EQ(std::rename((path + ".new").c_str(),
-                                  path.c_str()),
-                      0);
+            // replacement must be atomic — saveModelFile writes a tmp
+            // file and renames it, the operator contract — or the CRC
+            // poll could see (and count) a torn intermediate file as
+            // its own reload.
+            core::saveModelFile(withAlpha(*f.model, 2e-6), path);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(500));
     });

@@ -1,16 +1,19 @@
 /**
  * @file
- * Port-level tests for the three persistence layers moved into the
+ * Port-level tests for the three persistence layers kept in the
  * EDDIEARC artifact store: trained models, capture-cache spills, and
  * checkpoint snapshots + delta chains. Models and checkpoints must
- * round-trip bit-identically with their file formats (text models
- * still load through the format switch), and every port fails typed
- * (never silently) on a corrupted container.
+ * round-trip bit-identically through the container, every port fails
+ * typed (never silently) on a corrupted container, and a model path
+ * that holds no archive (missing, empty, garbage, or a text model of
+ * earlier builds) is a typed error that leaves the path alone.
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "core/errors.h"
 #include "core/model.h"
 #include "serve/checkpoint.h"
+#include "store/archive.h"
 #include "../serve/serve_test_util.h"
 
 namespace
@@ -90,47 +94,85 @@ checkpointBytes(const serve::CheckpointData &ckpt)
     return os.str();
 }
 
-TEST(ModelPort, ArchiveAndTextFilesDecodeIdentically)
+TEST(ModelPort, ArchiveFileDecodesToTheSavedModel)
 {
     const auto m = sampleModel();
-    const std::string text_path = tempPath("model.txt");
-    const std::string arc_path = tempPath("model.arc");
-    core::saveModelFile(m, text_path, core::ModelFormat::Text);
-    core::saveModelFile(m, arc_path, core::ModelFormat::Archive);
+    const std::string path = tempPath("model.arc");
+    core::saveModelFile(m, path);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
-    const auto from_text = core::loadModelFile(text_path);
-    const auto from_arc = core::loadModelFile(arc_path);
-    // Bit-identity through the canonical binary encoding: both files
-    // describe the exact same model.
-    EXPECT_EQ(core::encodeModelBinary(from_text),
-              core::encodeModelBinary(from_arc));
-    EXPECT_EQ(core::encodeModelBinary(m),
-              core::encodeModelBinary(from_arc));
-
-    std::remove(text_path.c_str());
-    std::remove(arc_path.c_str());
+    // Bit-identity through the canonical binary encoding, which is
+    // also the stored value itself.
+    EXPECT_EQ(core::encodeModelBinary(core::loadModelFile(path)),
+              core::encodeModelBinary(m));
+    {
+        store::ArchiveConfig acfg;
+        acfg.path = path;
+        store::Archive arc(acfg);
+        EXPECT_EQ(arc.getCopy("model"), core::encodeModelBinary(m));
+    }
+    std::remove(path.c_str());
 }
 
-TEST(ModelPort, LegacyTextModelLoadsThroughTheSwitch)
+/** Input boundary of loadModelFile: each case must throw its typed
+ *  error and leave the path as it found it — absent stays absent
+ *  (the archive opener would otherwise create it), and a foreign
+ *  file keeps its bytes. */
+TEST(ModelPort, NonArchiveInputsAreTypedErrorsAndLeaveThePathAlone)
 {
-    const auto m = sampleModel();
-    const std::string path = tempPath("legacy_model.txt");
+    struct Case
     {
-        // The pre-archive writer: plain text straight to the file.
-        std::ofstream os(path);
-        core::saveModel(m, os);
+        const char *name;
+        std::optional<std::string> bytes; ///< nullopt = no file
+        bool io_error;                    ///< IoError, else FormatError
+    };
+    const Case cases[] = {
+        {"missing", std::nullopt, true},
+        {"empty", std::string(), false},
+        {"garbage", std::string("\x7f\x00not-a-model 7\n\xff", 17),
+         false},
+        // A text model as earlier builds wrote it ("eddie-model 1").
+        {"text", std::string("eddie-model 1\n"
+                             "0.01 20000000 1 2 2\n"
+                             "L0 1 2 16 1 1\n"
+                             "2\n"
+                             "3 1 2 3\n"
+                             "2 4 5\n"
+                             "L1 0 0 8 0\n"
+                             "0\n"),
+         false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = tempPath(std::string("bad_model_") +
+                                          c.name);
+        std::remove(path.c_str());
+        if (c.bytes)
+            std::ofstream(path, std::ios::binary) << *c.bytes;
+        if (c.io_error)
+            EXPECT_THROW((void)core::loadModelFile(path),
+                         core::IoError);
+        else
+            EXPECT_THROW((void)core::loadModelFile(path),
+                         core::FormatError);
+        if (!c.bytes) {
+            EXPECT_FALSE(std::filesystem::exists(path));
+        } else {
+            std::ifstream is(path, std::ios::binary);
+            const std::string after(
+                (std::istreambuf_iterator<char>(is)),
+                std::istreambuf_iterator<char>());
+            EXPECT_EQ(after, *c.bytes);
+        }
+        std::remove(path.c_str());
     }
-    const auto loaded = core::loadModelFile(path);
-    EXPECT_EQ(core::encodeModelBinary(m),
-              core::encodeModelBinary(loaded));
-    std::remove(path.c_str());
 }
 
 TEST(ModelPort, CorruptArchiveModelFailsTyped)
 {
     const auto m = sampleModel();
     const std::string path = tempPath("corrupt_model.arc");
-    core::saveModelFile(m, path, core::ModelFormat::Archive);
+    core::saveModelFile(m, path);
 
     // Flip one byte in the payload region (past superblock + segment
     // header); the sector CRC must turn it into a typed error.
@@ -214,63 +256,89 @@ driveStore(serve::CheckpointStore &store,
     }
 }
 
-TEST(CheckpointPort, ArchiveRecoveryBitIdenticalToFilePair)
+/** Recovery from the container reproduces, byte for byte, the mirror
+ *  of an in-memory store that saw the same cuts; the container's
+ *  values are the framed v2 snapshot and delta-segment images. */
+TEST(CheckpointPort, ArchiveRecoveryBitIdenticalToLiveMirror)
 {
     std::mt19937_64 rng(17);
     const auto model = serve_test::sharpModel(rng);
 
-    const auto runMode = [&](bool use_archive,
-                             const std::string &path) {
-        serve::CheckpointStoreConfig cfg;
-        cfg.path = path;
-        cfg.num_shards = 1;
-        cfg.full_every = 1u << 20; // keep the whole delta chain
-        cfg.use_archive = use_archive;
-        {
-            serve::CheckpointStore store(cfg);
-            driveStore(store, model);
+    serve::CheckpointStoreConfig mem_cfg;
+    mem_cfg.num_shards = 1;
+    serve::CheckpointStore live(mem_cfg);
+    driveStore(live, model);
+
+    const std::string path = tempPath("ckpt_arc");
+    std::remove((path + ".arc").c_str());
+    serve::CheckpointStoreConfig cfg = mem_cfg;
+    cfg.path = path;
+    cfg.full_every = 1u << 20; // keep the whole delta chain
+    {
+        serve::CheckpointStore store(cfg);
+        driveStore(store, model);
+    }
+    serve::CheckpointStore fresh(cfg);
+    EXPECT_EQ(fresh.recover(), std::vector<bool>{true});
+    EXPECT_EQ(checkpointBytes(fresh.mirror(0)),
+              checkpointBytes(live.mirror(0)));
+    EXPECT_EQ(fresh.stats().delta_fallbacks, 0u);
+
+    store::ArchiveConfig acfg;
+    acfg.path = path + ".arc";
+    store::Archive arc(acfg);
+    std::size_t segments = 0;
+    for (const auto &key : arc.keys()) {
+        const auto value = arc.getCopy(key);
+        ASSERT_TRUE(value.has_value()) << key;
+        std::istringstream is(*value);
+        if (key == "ckpt/snap") {
+            EXPECT_NO_THROW((void)serve::loadGroupCheckpoint(is));
+        } else {
+            serve::DeltaSegment seg;
+            EXPECT_TRUE(serve::readDeltaSegment(is, seg)) << key;
+            ++segments;
         }
-        serve::CheckpointStore fresh(cfg);
-        const auto recovered = fresh.recover();
-        EXPECT_EQ(recovered, std::vector<bool>{true});
-        return checkpointBytes(fresh.mirror(0));
-    };
-
-    const std::string file_path = tempPath("ckpt_files");
-    const std::string arc_path = tempPath("ckpt_arc");
-    const std::string from_files = runMode(false, file_path);
-    const std::string from_arc = runMode(true, arc_path);
-    EXPECT_FALSE(from_files.empty());
-    EXPECT_EQ(from_files, from_arc);
-
-    std::remove(file_path.c_str());
-    std::remove((file_path + ".dlt").c_str());
-    std::remove((arc_path + ".arc").c_str());
+    }
+    EXPECT_GT(segments, 0u);
+    std::remove((path + ".arc").c_str());
 }
 
-/** Archive mode reads only the archive: a file pair at the same
- *  path is not migrated, so the run starts cold. */
+/** The store reads only its container: a snapshot file and delta log
+ *  left at the same path by earlier builds are neither migrated nor
+ *  touched, so the run starts cold. */
 TEST(CheckpointPort, ArchiveModeStartsColdBesideAFilePair)
 {
     std::mt19937_64 rng(18);
     const auto model = serve_test::sharpModel(rng);
     const std::string path = tempPath("ckpt_no_migrate");
-    std::remove(path.c_str());
-    std::remove((path + ".dlt").c_str());
     std::remove((path + ".arc").c_str());
 
-    serve::CheckpointStoreConfig file_cfg;
-    file_cfg.path = path;
-    file_cfg.num_shards = 1;
+    serve::CheckpointStoreConfig mem_cfg;
+    mem_cfg.num_shards = 1;
+    serve::CheckpointStore live(mem_cfg);
+    driveStore(live, model);
+    serve::GroupCheckpoint group;
+    group.epoch = 1;
+    group.shards.push_back(live.mirror(0));
     {
-        serve::CheckpointStore store(file_cfg);
-        driveStore(store, model);
+        std::ofstream snap(path, std::ios::binary);
+        serve::saveGroupCheckpoint(group, snap);
+        std::ofstream log(path + ".dlt", std::ios::binary);
+        serve::DeltaSegment seg;
+        seg.epoch = 1;
+        serve::appendDeltaSegment(log, seg);
     }
-    serve::CheckpointStoreConfig arc_cfg = file_cfg;
-    arc_cfg.use_archive = true;
-    serve::CheckpointStore store(arc_cfg);
+    const auto snap_size = std::filesystem::file_size(path);
+    const auto log_size = std::filesystem::file_size(path + ".dlt");
+
+    serve::CheckpointStoreConfig cfg = mem_cfg;
+    cfg.path = path;
+    serve::CheckpointStore store(cfg);
     EXPECT_EQ(store.recover(), std::vector<bool>{false});
     EXPECT_EQ(store.stats().snapshot_decode_failures, 0u);
+    EXPECT_EQ(std::filesystem::file_size(path), snap_size);
+    EXPECT_EQ(std::filesystem::file_size(path + ".dlt"), log_size);
     std::remove(path.c_str());
     std::remove((path + ".dlt").c_str());
     std::remove((path + ".arc").c_str());

@@ -6,16 +6,15 @@
  *   eddie_chaos [--seeds N [--first F]]
  *       [--tenants T] [--sessions S] [--steps W]
  *       [--kill-prob P] [--hang-prob P] [--budget N]
- *       [--arc | --files] [--dir DIR] [--keep]
+ *       [--dir DIR] [--keep]
  *       [--scheduler [--workers M]] [--wire] [--require-all-fates]
  *
  * Each seed runs the full scenario: a faulted fleet run (worker
  * kills/hangs on the victim tenant, queue overflow, starvation), a
  * torn-commit resume, and a corrupt-snapshot resume, asserting that
  * healthy tenants' verdicts stay bit-identical to a clean serial run,
- * restarts stay inside the victim's budget, and recovery from disk is
- * clean. Without --arc/--files the checkpoint layout alternates by
- * seed parity so both are covered. --scheduler runs every fleet phase
+ * restarts stay inside the victim's budget, and recovery from the
+ * checkpoint container is clean. --scheduler runs every fleet phase
  * through the fair-share FleetScheduler (--workers M threads, default
  * 3) instead of a feeder+worker thread pair per session — same
  * fates, same invariants, so a grid on both paths proves the
@@ -61,8 +60,6 @@ run(int argc, char **argv)
                             {"kill-prob", K::Real, 0, 1},
                             {"hang-prob", K::Real, 0, 1},
                             {"budget", K::Int, 1, 1000000},
-                            {"arc"},
-                            {"files"},
                             {"dir", K::Text},
                             {"keep"},
                             {"scheduler"},
@@ -75,7 +72,7 @@ run(int argc, char **argv)
             "usage: eddie_chaos [--seeds N [--first F]] "
             "[--tenants T] [--sessions S]\n"
             "       [--steps W] [--kill-prob P] [--hang-prob P] "
-            "[--budget N] [--arc | --files]\n"
+            "[--budget N]\n"
             "       [--dir DIR] [--keep] [--scheduler [--workers M]] "
             "[--require-all-fates]\n");
         return 2;
@@ -132,17 +129,12 @@ run(int argc, char **argv)
     for (long i = 0; i < grid; ++i) {
         serve::ChaosConfig cfg = base;
         cfg.seed = std::uint64_t(first + i);
-        // Cover both checkpoint layouts across the grid.
-        cfg.archive = args.has("files") ? false
-                      : args.has("arc") ? true
-                                        : (cfg.seed % 2 == 0);
         cfg.dir = root + "/s" + std::to_string(cfg.seed);
         std::filesystem::create_directories(cfg.dir);
 
         const serve::ChaosReport rep = serve::runChaos(cfg);
-        std::printf("seed %llu [%s, %s]: %s\n",
+        std::printf("seed %llu [%s]: %s\n",
                     static_cast<unsigned long long>(cfg.seed),
-                    cfg.archive ? "arc" : "files",
                     cfg.scheduler_workers > 0 ? "sched" : "pair",
                     serve::describe(rep).c_str());
         for (const std::string &v : rep.violations)

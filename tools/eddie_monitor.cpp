@@ -12,13 +12,14 @@
  *
  * SIGINT/SIGTERM stop the monitoring loop gracefully: the current
  * window finishes, metrics over the processed prefix are flushed, and
- * with --checkpoint a final resumable snapshot is written (a second
- * signal hard-exits).
+ * with --checkpoint FILE a final resumable snapshot is written to the
+ * checkpoint container FILE.arc that eddie_serve --resume --checkpoint
+ * FILE reads (a second signal hard-exits).
  */
 
 #include <cstdio>
-#include <fstream>
 
+#include "core/errors.h"
 #include "core/pipeline.h"
 #include "inject/scenarios.h"
 #include "serve/checkpoint.h"
@@ -54,7 +55,6 @@ run(int argc, char **argv)
                      "[--contamination R] [--target REGION]\n");
         return 2;
     }
-    // Sniffs text vs EDDIEARC archive models.
     const auto model = core::loadModelFile(args.positional()[0]);
 
     core::PipelineConfig cfg;
@@ -113,15 +113,19 @@ run(int argc, char **argv)
 
     const std::string ckpt_path = args.get("checkpoint");
     if (!ckpt_path.empty()) {
-        // A one-shard group snapshot at epoch 0 (the store never
-        // writes epoch 0, so no stale delta log can chain onto it):
+        // A one-shard store's full snapshot in ckpt_path + ".arc":
         // the layout eddie_serve --resume --checkpoint reads.
-        serve::GroupCheckpoint group;
-        serve::CheckpointData &ckpt = group.shards.emplace_back();
+        serve::CheckpointStoreConfig scfg;
+        scfg.path = ckpt_path;
+        serve::CheckpointStore store(scfg);
+        serve::CheckpointData ckpt;
         ckpt.monitor = monitor.exportState();
         ckpt.source_pos = ckpt.monitor.step_index;
-        serve::saveGroupCheckpointFile(group, ckpt_path);
-        std::printf("checkpoint written to %s (%zu steps)\n",
+        store.submitFull(0, ckpt);
+        if (!store.flush())
+            throw core::IoError("checkpoint: write failed for " +
+                                ckpt_path + ".arc");
+        std::printf("checkpoint written to %s.arc (%zu steps)\n",
                     ckpt_path.c_str(), ckpt.monitor.step_index);
     }
     if (interrupted)

@@ -23,8 +23,11 @@
  *   eddie_serve <model-file> --listen HOST:PORT | --listen-pipe PATH
  *       [--expect N] [--tenant ID] [--idle-timeout-ms MS]
  *       [--checkpoint FILE] [--ckpt-interval N] [--full-every N]
- *       [--resume] [--ckpt-arc] [--queue-batch N]
+ *       [--resume] [--queue-batch N]
  *       [--restart-budget N]
+ *
+ * --checkpoint FILE keeps every checkpoint in the EDDIEARC container
+ * FILE.arc.
  *
  * Shard i monitors the stream captured with seed + i; the shards are
  * sessions of one tenant, so they share one --restart-budget (restarts
@@ -128,7 +131,6 @@ runListen(const tools::Args &args)
     scfg.checkpoint_path = args.get("checkpoint");
     scfg.resume = args.has("resume");
     scfg.full_snapshot_every = std::size_t(args.getLong("full-every", 16));
-    scfg.checkpoint_archive = args.has("ckpt-arc");
     scfg.queue_batch = std::size_t(args.getLong("queue-batch", 16));
     scfg.watchdog.restart_budget = std::size_t(args.getLong(
         "restart-budget", long(scfg.watchdog.restart_budget)));
@@ -219,7 +221,6 @@ run(int argc, char **argv)
                             {"ckpt-interval", K::Int, 0},
                             {"full-every", K::Int, 1},
                             {"resume"},
-                            {"ckpt-arc"},
                             {"queue-batch", K::Int, 1, 65536},
                             {"watch-model"},
                             {"restart-budget", K::Int, 0},
@@ -257,7 +258,7 @@ run(int argc, char **argv)
                          "       [--expect N] [--tenant ID] "
                          "[--idle-timeout-ms MS] [--checkpoint FILE]\n"
                          "       [--ckpt-interval N] [--full-every N] "
-                         "[--resume] [--ckpt-arc]\n"
+                         "[--resume]\n"
                          "       [--queue-batch N] "
                          "[--restart-budget N]\n");
             return 2;
@@ -275,12 +276,11 @@ run(int argc, char **argv)
             "[--source-seed N] [--retries N]\n"
             "       [--queue N] [--drop-oldest] [--checkpoint FILE] "
             "[--ckpt-interval N] [--full-every N] [--resume]\n"
-            "       [--ckpt-arc] [--queue-batch N] [--watch-model]\n"
+            "       [--queue-batch N] [--watch-model]\n"
             "       [--restart-budget N] [--strict-resume]\n");
         return 2;
     }
     const std::string model_path = args.positional()[0];
-    // Sniffs text vs EDDIEARC archive models.
     auto model = std::make_shared<const core::TrainedModel>(
         core::loadModelFile(model_path));
 
@@ -366,9 +366,6 @@ run(int argc, char **argv)
     scfg.checkpoint_path = args.get("checkpoint");
     scfg.resume = args.has("resume");
     scfg.full_snapshot_every = std::size_t(args.getLong("full-every", 16));
-    // One EDDIEARC container instead of the snapshot + .dlt pair;
-    // resume then reads only the archive.
-    scfg.checkpoint_archive = args.has("ckpt-arc");
     scfg.queue_batch = std::size_t(args.getLong("queue-batch", 16));
     scfg.watchdog.restart_budget = std::size_t(args.getLong(
         "restart-budget", long(scfg.watchdog.restart_budget)));
